@@ -76,6 +76,9 @@ pub enum SolverPolicy {
     /// In the sparse regime, a flow *structure* solved at least
     /// [`AUTO_PLAN_MIN_SEEN`] times is promoted to a compiled acyclic plan
     /// (a tape replay that is bitwise-identical to the sparse fast path).
+    /// The sweep drivers (uncertainty, sensitivity, improvement, selection,
+    /// fleet refresh) stage such sparse-regime acyclic flows straight into
+    /// that tape from their first point.
     #[default]
     Auto,
     /// Always dense LU — exact, `O(states³)`; the right choice for
@@ -174,6 +177,18 @@ impl SolverPolicy {
                     ChosenSolver::Sparse
                 }
             }
+        }
+    }
+
+    /// Whether a chain with `states` states and `edges` explicit
+    /// transitions is answered from a compiled plan: `Some(acyclic_only)`
+    /// — `Compiled` compiles every structure, `Auto` only acyclic ones in
+    /// its sparse regime — or `None` when the direct solver answers.
+    pub(crate) fn plan_compilation(self, states: usize, edges: usize) -> Option<bool> {
+        match self {
+            SolverPolicy::Compiled => Some(false),
+            SolverPolicy::Auto if self.choose(states, edges) == ChosenSolver::Sparse => Some(true),
+            _ => None,
         }
     }
 }
@@ -1454,11 +1469,10 @@ impl<'a> Evaluator<'a> {
     /// through the plan path (so the program's cached chains know whether
     /// to keep asking [`Evaluator::plan_for_chain`]).
     pub(crate) fn plan_gate(&self, states: usize, edges: usize) -> bool {
-        match self.options.solver {
-            SolverPolicy::Compiled => true,
-            SolverPolicy::Auto => self.options.solver.choose(states, edges) == ChosenSolver::Sparse,
-            SolverPolicy::Dense | SolverPolicy::Sparse => false,
-        }
+        self.options
+            .solver
+            .plan_compilation(states, edges)
+            .is_some()
     }
 
     /// `Pfail(S, fp)`: probability that `service` fails to complete its task
@@ -1477,6 +1491,9 @@ impl<'a> Evaluator<'a> {
                 if let Some(program) = self.ensure_program(service, 1)? {
                     return self.failure_probability_via_program(&program, service, env);
                 }
+                // As on the program path, a tripped token wins over a value
+                // the shared cache could answer.
+                self.check_cancel()?;
                 let mut ctx = Ctx {
                     stack: Vec::new(),
                     memo: HashMap::new(),
@@ -1725,12 +1742,10 @@ impl<'a> Evaluator<'a> {
         start: &AugmentedState,
         end: &AugmentedState,
     ) -> archrel_markov::Result<Option<Arc<SolvePlan>>> {
-        let chosen = self.options.solver.choose(chain.len(), chain.edge_count());
-        let acyclic_only = match self.options.solver {
-            SolverPolicy::Compiled => Some(false),
-            SolverPolicy::Auto if chosen == ChosenSolver::Sparse => Some(true),
-            _ => None,
-        };
+        let acyclic_only = self
+            .options
+            .solver
+            .plan_compilation(chain.len(), chain.edge_count());
         if let Some(acyclic_only) = acyclic_only {
             let fingerprint = structure_fingerprint(chain, start, end);
             let warm = !acyclic_only || self.plans.note_seen(fingerprint) >= AUTO_PLAN_MIN_SEEN;

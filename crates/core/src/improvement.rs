@@ -215,8 +215,8 @@ pub fn rank_levers(
 /// Every per-lever evaluation runs on a *rebuilt* assembly whose flow
 /// structures are unchanged (only the failure values scale), so all the
 /// fresh evaluators share one compiled-plan cache: under
-/// [`crate::SolverPolicy::Compiled`] (or a promoted
-/// [`crate::SolverPolicy::Auto`]) each flow structure is compiled once and
+/// [`crate::SolverPolicy::Compiled`] (or [`crate::SolverPolicy::Auto`] on a
+/// sparse-regime acyclic flow) each flow structure is compiled once and
 /// every lever assessment replays the tape. The one exception — a lever
 /// whose zeroing drops a `Fail` edge entirely — changes the structure
 /// fingerprint and naturally compiles its own plan.

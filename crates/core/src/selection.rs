@@ -116,8 +116,9 @@ impl SelectionResult {
 /// Each combination is its **own** assembly, so combinations cannot share
 /// the value-level solve cache — but they *do* share one compiled-plan
 /// cache: candidates filling the same slot leave the flow structures
-/// unchanged, so under a compiled-plan policy each structure is compiled
-/// once and every combination replays the tape.
+/// unchanged, so wherever the solver policy answers from a compiled plan
+/// (`Compiled`, or `Auto` on a sparse-regime acyclic flow) each structure
+/// is compiled once and every combination replays the tape.
 ///
 /// # Errors
 ///

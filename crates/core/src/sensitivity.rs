@@ -80,10 +80,10 @@ pub fn finite_difference(
 /// applies to all probes: build the evaluator with
 /// [`Evaluator::with_options`] to force a solver. Because all probes run on
 /// **one** evaluator, they also share its compiled-plan cache: a stencil
-/// only perturbs parameter *values*, so under [`crate::SolverPolicy::Auto`]
-/// (after promotion) or [`crate::SolverPolicy::Compiled`] every probe after
-/// the first replays a compiled evaluation tape instead of re-eliminating
-/// the chain.
+/// only perturbs parameter *values*, so under [`crate::SolverPolicy::Compiled`],
+/// or [`crate::SolverPolicy::Auto`] on a sparse-regime acyclic flow, every
+/// probe is staged straight into a compiled evaluation tape's parameter row
+/// instead of re-eliminating the chain.
 ///
 /// # Errors
 ///
@@ -243,6 +243,12 @@ fn staged_probes(
         let mut scratch = sweep.new_scratch();
         let mut stage_nanos = 0u64;
         for (pos, &i) in stripe.iter().enumerate() {
+            // Staged probes never enter the evaluator, so poll its
+            // cancellation token here, as the generic path would.
+            if let Some(Err(err)) = evaluator.cancel_token().map(|token| token.check()) {
+                results[pos] = Some(Err(err));
+                continue;
+            }
             let stage_started = Instant::now();
             let staging = match center {
                 Some(c) => sweep.stage_env_delta(c, names[i], envs[i], &mut scratch),

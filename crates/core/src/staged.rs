@@ -39,7 +39,7 @@ use archrel_model::{
 };
 
 use crate::augment::{augmented_chain, AugmentedState};
-use crate::eval::{EvalOptions, PlanCache, PlanEntry, SolverPolicy};
+use crate::eval::{EvalOptions, PlanCache, PlanEntry};
 use crate::failprob::{state_failure_probability, RequestFailure};
 use crate::improvement::{scale_failure_model, scale_internal_model, Lever};
 use crate::{CoreError, Result};
@@ -227,11 +227,18 @@ pub(crate) struct StagedSweep {
 
 impl StagedSweep {
     /// Compiles `service`'s evaluation under `env` into a staged sweep, or
-    /// returns `Ok(None)` when staging does not apply: the solver policy is
-    /// not `Compiled`, the service is not a composite whose calls and
-    /// connectors all resolve to simple services, the structure did not
-    /// yield a plan, or the self-check row failed to reproduce the real
-    /// extraction bitwise.
+    /// returns `Ok(None)` when staging does not apply: the solver policy
+    /// would not answer the flow from a compiled plan (see below), the
+    /// service is not a composite whose calls and connectors all resolve
+    /// to simple services, the structure did not yield a plan, or the
+    /// self-check row failed to reproduce the real extraction bitwise.
+    ///
+    /// `Compiled` stages every eligible flow. `Auto` stages only flows
+    /// whose augmented chain it solves in the sparse regime *and* whose
+    /// structure compiles to an acyclic tape: there the tape replays the
+    /// sparse back-substitution bit for bit, so staging cannot change an
+    /// `Auto` answer. Dense-regime and cyclic flows under `Auto`, and the
+    /// explicit `Dense`/`Sparse` policies, stay on the generic path.
     ///
     /// # Errors
     ///
@@ -245,12 +252,17 @@ impl StagedSweep {
         plans: &Arc<PlanCache>,
         options: EvalOptions,
     ) -> Result<Option<StagedSweep>> {
-        if options.solver != SolverPolicy::Compiled {
-            return Ok(None);
-        }
         let Some(Service::Composite(composite)) = assembly.service(service) else {
             return Ok(None);
         };
+        // The augmented chain adds at most `Start`, `End` and `Fail` to the
+        // flow's states. A policy that would not compile even the largest,
+        // edge-free chain of that size (`Auto` on a small flow, `Dense`,
+        // `Sparse`) declines before any recipe is built.
+        let max_states = composite.flow().states().len() + 3;
+        if options.solver.plan_compilation(max_states, 0).is_none() {
+            return Ok(None);
+        }
 
         // Intern every call target / connector; any non-simple callee means
         // recursive resolution the recipe form cannot express.
@@ -381,9 +393,20 @@ impl StagedSweep {
         let chain = augmented_chain(composite, env, &failures)?;
         let start = AugmentedState::Flow(StateId::Start);
         let end = AugmentedState::Flow(StateId::End);
+        // Stage exactly the chains the evaluator itself would answer from a
+        // plan: under `Auto` that is an acyclic tape in the sparse regime,
+        // which replays the sparse back-substitution bit for bit.
+        let Some(acyclic_only) = options
+            .solver
+            .plan_compilation(chain.len(), chain.edge_count())
+        else {
+            return Ok(None);
+        };
         let fingerprint = structure_fingerprint(&chain, &start, &end);
-        let plan = match plans.entry(fingerprint, &chain, &start, &end, false) {
-            Ok(PlanEntry::Plan(plan)) => plan,
+        let plan = match plans.entry(fingerprint, &chain, &start, &end, acyclic_only) {
+            // A shared cache may hold a cyclic plan compiled for another
+            // evaluator; `Auto` answers cyclic flows iteratively, not from it.
+            Ok(PlanEntry::Plan(plan)) if !acyclic_only || plan.is_acyclic() => plan,
             // Unreachable/cyclic markers and compile errors: the generic
             // path knows how to answer those; staging does not.
             Ok(_) | Err(_) => return Ok(None),
@@ -1351,7 +1374,7 @@ fn base_request(simples: &[SimpleEntry], call: &CallRecipe) -> Result<RequestFai
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::eval::{Evaluator, SolverPolicy};
     use archrel_model::{
         AssemblyBuilder, ConnectorBinding, FlowBuilder, FlowState, InternalFailureModel,
     };
@@ -1441,22 +1464,31 @@ mod tests {
     }
 
     #[test]
-    fn requires_compiled_policy() {
+    fn declines_dense_regime_and_explicit_direct_policies() {
+        // A two-state flow is dense under `Auto`; `Dense`/`Sparse` never
+        // stage. None of them may touch the plan cache.
         let assembly = assembly();
         let env = Bindings::new().with("n", 5.0);
-        let plans = Arc::new(PlanCache::new());
-        let sweep = StagedSweep::compile(
-            &assembly,
-            &"app".into(),
-            &env,
-            &plans,
-            EvalOptions {
-                solver: SolverPolicy::Auto,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(sweep.is_none());
+        for solver in [
+            SolverPolicy::Auto,
+            SolverPolicy::Dense,
+            SolverPolicy::Sparse,
+        ] {
+            let plans = Arc::new(PlanCache::new());
+            let sweep = StagedSweep::compile(
+                &assembly,
+                &"app".into(),
+                &env,
+                &plans,
+                EvalOptions {
+                    solver,
+                    ..EvalOptions::default()
+                },
+            )
+            .unwrap();
+            assert!(sweep.is_none(), "{solver:?} staged");
+            assert!(plans.is_empty(), "{solver:?} compiled a plan");
+        }
     }
 
     #[test]

@@ -163,8 +163,9 @@ fn apply_all(assembly: &Assembly, factors: &[(&Lever, f64)]) -> Result<Assembly>
 /// solve cache (the cache is keyed by parameters over one fixed assembly,
 /// and a perturbed assembly invalidates it wholesale) — but the samples *do*
 /// share one compiled-plan cache: the levers scale failure values without
-/// changing any flow structure, so under a compiled-plan policy each
-/// structure is compiled once and every sample replays the tape.
+/// changing any flow structure, so wherever the solver policy answers from
+/// a compiled plan (`Compiled`, or `Auto` on a sparse-regime acyclic flow)
+/// each structure is compiled once and every sample replays the tape.
 ///
 /// # Errors
 ///
@@ -291,10 +292,11 @@ pub fn propagate_with_plan_cache(
         })
         .collect();
 
-    // Under a compiled-plan policy, try to stage the whole sweep: samples
-    // then generate directly into plan parameter rows — no per-sample
-    // assembly rebuild, no `Bindings`, no chain, no extraction — and only
-    // structure-changing samples fall back to the generic path below.
+    // Try to stage the whole sweep (see `StagedSweep::compile` for which
+    // policies and flows stage): samples then generate directly into plan
+    // parameter rows — no per-sample assembly rebuild, no `Bindings`, no
+    // chain, no extraction — and only structure-changing samples fall back
+    // to the generic path below.
     let staged = match StagedSweep::compile(assembly, service, env, plans, options)? {
         Some(sweep) => {
             let levers = sweep.prepare_levers(assembly, quantities.iter().map(|q| &q.lever))?;
@@ -441,8 +443,8 @@ pub fn interval_with_options(
         .collect();
     // The two bracketing assemblies share every flow structure: one plan
     // cache (and one block accumulator) lets both top-level solves ride a
-    // single two-lane tape replay under a compiled-plan policy — staged
-    // straight into parameter rows when the sweep compiles.
+    // single two-lane tape replay wherever a compiled plan answers —
+    // staged straight into parameter rows when the sweep compiles.
     let plans = Arc::new(PlanCache::new());
     let staged = match StagedSweep::compile(assembly, service, env, &plans, options)? {
         Some(sweep) => {

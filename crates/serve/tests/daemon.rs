@@ -325,3 +325,104 @@ fn stats_reflect_shared_plan_cache_once() {
     assert!(response(&client.roundtrip(r#"{"op":"shutdown"}"#).unwrap()).ok);
     runner.join().unwrap();
 }
+
+/// An 80-state sequential flow whose states cycle through four demand
+/// parameters of a per-unit blackbox: acyclic and in the default solver's
+/// sparse regime, so the daemon's sweep drivers run staged rows.
+fn long_chain_model() -> String {
+    let mut source =
+        String::from("blackbox unit(x) { pfail_per_unit: 1e-5; }\nservice app(v0, v1, v2, v3) {\n");
+    for i in 0..80 {
+        source.push_str(&format!("  state s{i} {{ call unit(x: v{}); }}\n", i % 4));
+    }
+    source.push_str("  start -> s0 : 1;\n");
+    for i in 1..80 {
+        source.push_str(&format!("  s{} -> s{i} : 1;\n", i - 1));
+    }
+    source.push_str("  s79 -> end : 1;\n}\n");
+    source
+}
+
+#[test]
+fn sweep_and_sensitivity_on_a_long_chain_match_forced_sparse_bitwise() {
+    use archrel_core::sensitivity::binding_sensitivities_with_workers;
+    use archrel_core::{EvalOptions, Evaluator, SolverPolicy};
+    use archrel_expr::Bindings;
+
+    let source = long_chain_model();
+    let env = Bindings::new()
+        .with("v0", 1.0)
+        .with("v1", 1.25)
+        .with("v2", 1.5)
+        .with("v3", 1.75);
+    let bindings = r#"{"v0":1,"v1":1.25,"v2":1.5,"v3":1.75}"#;
+    let assembly = archrel_dsl::parse_assembly(&source).unwrap();
+    let sparse = Evaluator::with_options(
+        &assembly,
+        EvalOptions {
+            solver: SolverPolicy::Sparse,
+            ..EvalOptions::default()
+        },
+    );
+    let app = "app".into();
+
+    let (path, runner) = boot(ServeConfig::default(), "long-chain");
+    let mut client = Client::connect_unix(&path).unwrap();
+    assert!(response(&client.roundtrip(&load_line("m", &source)).unwrap()).ok);
+    let field = |row: &JsonValue, key: &str| {
+        row.as_object()
+            .and_then(|o| o.get(key))
+            .and_then(JsonValue::as_f64)
+            .unwrap_or_else(|| panic!("row carries {key}"))
+    };
+    let array = |result: &JsonValue, key: &str| -> Vec<JsonValue> {
+        match result.as_object().and_then(|o| o.get(key)) {
+            Some(JsonValue::Array(rows)) => rows.clone(),
+            other => panic!("result carries no {key} array: {other:?}"),
+        }
+    };
+
+    let r = response(
+        &client
+            .roundtrip(&format!(
+                r#"{{"op":"sensitivity","assembly":"m","service":"app","bindings":{bindings}}}"#
+            ))
+            .unwrap(),
+    );
+    assert!(r.ok, "sensitivity failed: {:?}", r.error_message);
+    let rows = array(&r.result.unwrap(), "sensitivities");
+    let want = binding_sensitivities_with_workers(&sparse, &app, &env, 1).unwrap();
+    assert_eq!(rows.len(), want.len());
+    for (row, want) in rows.iter().zip(&want) {
+        assert_eq!(
+            field(row, "derivative").to_bits(),
+            want.derivative.to_bits()
+        );
+        assert_eq!(
+            field(row, "elasticity").to_bits(),
+            want.elasticity.to_bits()
+        );
+    }
+
+    let (from, to, steps) = (0.5, 4.0, 9usize);
+    let r = response(
+        &client
+            .roundtrip(&format!(
+                r#"{{"op":"sweep","assembly":"m","service":"app","param":"v2","from":{from},"to":{to},"steps":{steps},"bindings":{bindings}}}"#
+            ))
+            .unwrap(),
+    );
+    assert!(r.ok, "sweep failed: {:?}", r.error_message);
+    let points = array(&r.result.unwrap(), "points");
+    assert_eq!(points.len(), steps);
+    for (i, point) in points.iter().enumerate() {
+        let t = i as f64 / (steps - 1) as f64;
+        let mut at = env.clone();
+        at.insert("v2", from + t * (to - from));
+        let want = sparse.failure_probability(&app, &at).unwrap();
+        assert_eq!(field(point, "pfail").to_bits(), want.value().to_bits());
+    }
+
+    assert!(response(&client.roundtrip(r#"{"op":"shutdown"}"#).unwrap()).ok);
+    runner.join().unwrap();
+}
