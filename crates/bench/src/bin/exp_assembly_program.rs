@@ -3,7 +3,7 @@
 //! points varying the one leaf demand parameter `work` — the recursive
 //! evaluator against the compiled [`AssemblyProgram`] path.
 //!
-//! Three scopes are measured:
+//! Two scopes are measured:
 //!
 //! - **recursive**: `ProgramMode::Off`, the pre-program per-point walk.
 //!   It memoizes sub-services per point through string-keyed environment
@@ -16,11 +16,8 @@
 //!   place, pinned solve plans) and repeated sub-service invocations are
 //!   answered from bit-keyed memo tables. This is the number the ≥3×
 //!   acceptance bar targets.
-//! - **program, memo off**: the compiled pipeline alone. Without any
-//!   memoization it re-evaluates shared nodes once per *path* through the
-//!   DAG, isolating what the per-service memo contributes.
 //!
-//! All three scopes accumulate the same point-order checksum, which must
+//! Both scopes accumulate the same point-order checksum, which must
 //! agree **bitwise** — the program path is a plan-for-plan replay of the
 //! recursive arithmetic, not an approximation.
 //!
@@ -56,11 +53,7 @@ fn point_work(k: usize) -> f64 {
 /// Times `repeats` full sweeps of the 1024-point evaluation through a fresh
 /// evaluator per sweep (so no cross-sweep caching flatters any path),
 /// returning the median duration and the last sweep's checksum.
-fn time_sweeps(
-    assembly: &archrel_model::Assembly,
-    program: ProgramMode,
-    memo: bool,
-) -> (Duration, f64) {
+fn time_sweeps(assembly: &archrel_model::Assembly, program: ProgramMode) -> (Duration, f64) {
     let mut times = Vec::with_capacity(SWEEP_REPEATS);
     let mut checksum = 0.0;
     for _ in 0..SWEEP_REPEATS {
@@ -68,7 +61,6 @@ fn time_sweeps(
             assembly,
             EvalOptions {
                 program,
-                program_memo: memo,
                 ..EvalOptions::default()
             },
         );
@@ -91,9 +83,8 @@ fn main() {
     let assembly = shared_dag_assembly(DEPTH, WIDTH, LEAVES).expect("scenario builds");
     let services = 1 + DEPTH * WIDTH + LEAVES;
 
-    let (recursive, recursive_sum) = time_sweeps(&assembly, ProgramMode::Off, true);
-    let (program, program_sum) = time_sweeps(&assembly, ProgramMode::On, true);
-    let (no_memo, no_memo_sum) = time_sweeps(&assembly, ProgramMode::On, false);
+    let (recursive, recursive_sum) = time_sweeps(&assembly, ProgramMode::Off);
+    let (program, program_sum) = time_sweeps(&assembly, ProgramMode::On);
 
     // The program path replays the recursive arithmetic instruction for
     // instruction, so even the point-order checksums agree to the last bit.
@@ -101,11 +92,6 @@ fn main() {
         recursive_sum.to_bits(),
         program_sum.to_bits(),
         "program path diverged from recursive: {recursive_sum} vs {program_sum}"
-    );
-    assert_eq!(
-        recursive_sum.to_bits(),
-        no_memo_sum.to_bits(),
-        "memo-off program path diverged: {recursive_sum} vs {no_memo_sum}"
     );
 
     // One instrumented sweep for the memo-table counters.
@@ -125,38 +111,32 @@ fn main() {
 
     let recursive_us = recursive.as_nanos() as f64 / POINTS as f64 / 1e3;
     let program_us = program.as_nanos() as f64 / POINTS as f64 / 1e3;
-    let no_memo_us = no_memo.as_nanos() as f64 / POINTS as f64 / 1e3;
     let speedup = recursive_us / program_us;
-    let no_memo_speedup = recursive_us / no_memo_us;
     let verdict = if speedup >= 3.0 { "met" } else { "NOT met" };
 
     let markdown = format!(
         "# Compiled assembly programs (`cargo run --release -p archrel-bench --bin \
 exp_assembly_program`)\n\n\
-Recorded 2026-08-06 on the CI container (Linux, 1 CPU core, release profile).\n\n\
+Recorded 2026-10-17 on a 2-core Xeon with AVX-512 (Linux, release profile).\n\n\
 Workload: the depth-{DEPTH} × width-{WIDTH} shared-DAG scenario \
 (`scenarios::shared_dag_assembly`, {services} services; every interior node \
 is shared by two parents and carries a 64-state sequential flow), swept \
 over {POINTS} values of the one leaf demand parameter `work`. Sweeps timed \
-{SWEEP_REPEATS}× with a fresh evaluator each, median reported; all three \
+{SWEEP_REPEATS}× with a fresh evaluator each, median reported; both \
 checksums agree **bitwise**.\n\n\
 | path | per point | sweep ({POINTS} points) | speedup |\n\
 |------|----------:|------------------------:|--------:|\n\
 | recursive (`--assembly-program off`) | {recursive_us:.1} µs | \
 {recursive_ms:.1} ms | 1.0× |\n\
-| program, memo off | {no_memo_us:.1} µs | {no_memo_ms:.1} ms | \
-{no_memo_speedup:.1}× |\n\
 | program + memo (`--assembly-program on`) | {program_us:.1} µs | \
 {program_ms:.1} ms | **{speedup:.1}×** |\n\n\
 Per node visit, the program evaluates compiled expression slabs into a \
 flat register file, refreshes the cached flow skeleton's numeric entries \
 in place, and replays its pinned solve plan — where the recursive walk \
 builds per-call `Bindings` maps, formats string cache keys, rebuilds the \
-augmented chain, and fingerprints it against the plan cache. The memo-off \
-row has no sub-service memoization at all, so it re-evaluates shared nodes \
-once per path (the recursive walk does memoize per point, which is why \
-memo-off trails it). The memo row adds the per-service memo keyed by the \
-exact actual-parameter bit pattern: the instrumented sweep answered \
+augmented chain, and fingerprints it against the plan cache. The program \
+adds the per-service memo keyed by the exact actual-parameter bit \
+pattern: the instrumented sweep answered \
 {memo_hits} sub-service invocations from memo against {memo_misses} \
 computed ({memo_rate:.1}% memo rate), with {compiled} program(s) compiled \
 once for the whole sweep.\n\n\
@@ -165,7 +145,6 @@ The ≥3× bar on the shared-DAG {POINTS}-point sweep is {verdict}: the \
 compiled program path retires {speedup:.1}× more points per second than the \
 recursive evaluator, bitwise-identically.\n",
         recursive_ms = recursive.as_secs_f64() * 1e3,
-        no_memo_ms = no_memo.as_secs_f64() * 1e3,
         program_ms = program.as_secs_f64() * 1e3,
         memo_hits = stats.memo_hits,
         memo_misses = stats.memo_misses,
@@ -183,7 +162,7 @@ recursive evaluator, bitwise-identically.\n",
         ])
     };
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
-    let record = BenchRecord::new("assembly_program", "2026-08-06")
+    let record = BenchRecord::new("assembly_program", "2026-10-17")
         .field("dag_depth", JsonValue::Int(DEPTH as u128))
         .field("dag_width", JsonValue::Int(WIDTH as u128))
         .field("services", JsonValue::Int(services as u128))
@@ -193,15 +172,10 @@ recursive evaluator, bitwise-identically.\n",
             "results",
             JsonValue::Array(vec![
                 measurement("recursive", recursive_us),
-                measurement("program-no-memo", no_memo_us),
                 measurement("program-memo", program_us),
             ]),
         )
         .field("speedup_program", JsonValue::Num(round2(speedup)))
-        .field(
-            "speedup_program_no_memo",
-            JsonValue::Num(round2(no_memo_speedup)),
-        )
         .field("memo_hits", JsonValue::Int(stats.memo_hits as u128))
         .field("memo_misses", JsonValue::Int(stats.memo_misses as u128))
         .field(

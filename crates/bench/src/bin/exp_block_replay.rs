@@ -16,10 +16,9 @@
 //!   `parameters` + `evaluate` vs zero-allocation `parameters_into` +
 //!   block accumulate/flush.
 //! - **end-to-end uncertainty**: `uncertainty::propagate_with_plan_cache` on
-//!   a 1024-state flow assembly, 1024 samples, compiled policy with
-//!   `plan_lanes = 1` (per-point flushes — the PR 3 behavior) vs
-//!   `plan_lanes = LANE`; the shared cache's phase counters report the
-//!   extraction-vs-staging-vs-replay split of the blocked configuration.
+//!   a 1024-state flow assembly, 1024 samples, compiled policy (lane-8
+//!   flushes); the shared cache's phase counters report the
+//!   extraction-vs-staging-vs-replay split.
 //!
 //! Writes `results/block_replay.md` plus machine-readable
 //! `results/BENCH_block_replay.json` and root `BENCH_block_replay.json`,
@@ -198,43 +197,31 @@ fn main() {
         },
     }];
     let env = Bindings::new();
-    // One shared plan cache per lane configuration: repeats reuse the
-    // compiled plan, and the cache's phase counters (extract/stage/replay
-    // nanoseconds) accumulate across the whole configuration.
-    let propagate_at = |lanes: usize| {
-        let options = EvalOptions {
-            solver: SolverPolicy::Compiled,
-            plan_lanes: lanes,
-            ..EvalOptions::default()
-        };
-        let plans = Arc::new(PlanCache::new());
-        let (time, mean) = time_sweeps(E2E_REPEATS, || {
-            propagate_with_plan_cache(
-                &assembly,
-                &"app".into(),
-                &env,
-                &quantities,
-                E2E_SAMPLES,
-                42,
-                1,
-                options,
-                &plans,
-            )
-            .expect("propagates")
-            .mean
-        });
-        (time, mean, plans.stats())
+    let options = EvalOptions {
+        solver: SolverPolicy::Compiled,
+        ..EvalOptions::default()
     };
-    let (e2e_scalar, e2e_scalar_mean, _) = propagate_at(1);
-    let (e2e_block, e2e_block_mean, e2e_block_stats) = propagate_at(LANE);
-    assert_eq!(
-        e2e_scalar_mean.to_bits(),
-        e2e_block_mean.to_bits(),
-        "lane width changed the propagated mean: {e2e_scalar_mean} vs {e2e_block_mean}"
-    );
-    let e2e_scalar_us = e2e_scalar.as_nanos() as f64 / E2E_SAMPLES as f64 / 1e3;
+    // One shared plan cache: repeats reuse the compiled plan, and the
+    // cache's phase counters (extract/stage/replay nanoseconds) accumulate
+    // across every repeat.
+    let plans = Arc::new(PlanCache::new());
+    let (e2e_block, _) = time_sweeps(E2E_REPEATS, || {
+        propagate_with_plan_cache(
+            &assembly,
+            &"app".into(),
+            &env,
+            &quantities,
+            E2E_SAMPLES,
+            42,
+            1,
+            options,
+            &plans,
+        )
+        .expect("propagates")
+        .mean
+    });
+    let e2e_block_stats = plans.stats();
     let e2e_block_us = e2e_block.as_nanos() as f64 / E2E_SAMPLES as f64 / 1e3;
-    let e2e_speedup = e2e_scalar_us / e2e_block_us;
     // Phase counters accumulate over every repeat of the configuration;
     // report the per-sweep share against the median sweep.
     let phase_pct =
@@ -249,7 +236,7 @@ fn main() {
     let markdown = format!(
         "# Lane-blocked plan replay (`cargo run --release -p archrel-bench --bin \
 exp_block_replay`)\n\n\
-Recorded 2026-08-08 on the CI container (Linux, 1 CPU core, release profile).\n\n\
+Recorded 2026-10-17 on a 2-core Xeon with AVX-512 (Linux, release profile).\n\n\
 Workload: the {STATES}-state chain structure of PR 3's acceptance sweep, \
 evaluated at {POINTS} uncertainty-style parameter points (every point scales \
 the step failure probabilities by a factor in [0.5, 2.0]; structure shared, \
@@ -276,18 +263,12 @@ Extraction walks the perturbed chain's transition maps and is identical \
 under both paths, so it dilutes the headline ratio; the blocked path still \
 removes both per-point heap allocations.\n\n\
 ## End-to-end uncertainty scope (`uncertainty::propagate`)\n\n\
-| configuration | per sample | {E2E_SAMPLES} samples | speedup |\n\
-|---------------|-----------:|--------:|--------:|\n\
-| compiled, `plan_lanes = 1` (per-point flushes) | {e2e_scalar_us:.1} µs | \
-{e2e_scalar_ms:.1} ms | 1.0× |\n\
-| compiled, `plan_lanes = {LANE}` | {e2e_block_us:.1} µs | {e2e_block_ms:.1} ms | \
-**{e2e_speedup:.2}×** |\n\n\
-End-to-end gains are bounded by per-sample assembly perturbation and flow \
-resolution, which the block engine does not touch; the propagated mean is \
-bitwise-identical across lane widths. Lane-{LANE} phase split (share of the \
-median sweep): extraction {e2e_extract_pct:.1}%, staging {e2e_stage_pct:.1}%, \
-replay {e2e_replay_pct:.1}% — the remainder is sampling, perturbation, and \
-flow resolution outside the blocked row path.\n\n\
+| configuration | per sample | {E2E_SAMPLES} samples |\n\
+|---------------|-----------:|--------:|\n\
+| compiled, lane-{LANE} flushes | {e2e_block_us:.1} µs | {e2e_block_ms:.1} ms |\n\n\
+Phase split (share of the median sweep): extraction {e2e_extract_pct:.1}%, \
+staging {e2e_stage_pct:.1}%, replay {e2e_replay_pct:.1}% — the remainder is \
+sampling, perturbation, and flow resolution outside the blocked row path.\n\n\
 ## Acceptance\n\n\
 The ≥3× bar on the {STATES}-state / {POINTS}-point uncertainty sweep is \
 {verdict}: lane-blocked replay retires {replay_speedup:.1}× more points per \
@@ -300,7 +281,6 @@ second than the PR 3 compiled-plan path (tape-replay scope).\n",
         scalar_sweep_ms = scalar_sweep.as_secs_f64() * 1e3,
         block_sweep_us = block_sweep_ns / 1e3,
         block_sweep_ms = block_sweep.as_secs_f64() * 1e3,
-        e2e_scalar_ms = e2e_scalar.as_secs_f64() * 1e3,
         e2e_block_ms = e2e_block.as_secs_f64() * 1e3,
         e2e_extract_pct = phase_pct(e2e_block_stats.extract_nanos),
         e2e_stage_pct = phase_pct(e2e_block_stats.stage_nanos),
@@ -318,7 +298,7 @@ second than the PR 3 compiled-plan path (tape-replay scope).\n",
         ])
     };
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
-    let record = BenchRecord::new("block_replay", "2026-08-08")
+    let record = BenchRecord::new("block_replay", "2026-10-17")
         .field("flow_states", JsonValue::Int(STATES as u128))
         .field("points", JsonValue::Int(POINTS as u128))
         .field("lane_width", JsonValue::Int(LANE as u128))
@@ -330,8 +310,7 @@ second than the PR 3 compiled-plan path (tape-replay scope).\n",
                 measurement("tape-replay", "block", block_replay_ns),
                 measurement("extract+replay", "scalar", scalar_sweep_ns),
                 measurement("extract+replay", "block", block_sweep_ns),
-                measurement("uncertainty-e2e", "lanes-1", e2e_scalar_us * 1e3),
-                measurement("uncertainty-e2e", "lanes-8", e2e_block_us * 1e3),
+                measurement("uncertainty-e2e", "block", e2e_block_us * 1e3),
             ]),
         )
         .field(
@@ -341,10 +320,6 @@ second than the PR 3 compiled-plan path (tape-replay scope).\n",
         .field(
             "speedup_extract_replay",
             JsonValue::Num(round2(sweep_speedup)),
-        )
-        .field(
-            "speedup_uncertainty_e2e",
-            JsonValue::Num(round2(e2e_speedup)),
         )
         .field(
             "uncertainty_e2e_phase_ns",

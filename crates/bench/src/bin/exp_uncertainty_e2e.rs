@@ -4,8 +4,8 @@
 //! `uncertainty::propagate` (1024 Monte Carlo samples) and
 //! `sensitivity::binding_sensitivities` (a 341-parameter stencil, 1023
 //! probes) — each under the sparse per-point baseline and under the
-//! compiled + staged path (`SolverPolicy::Compiled`, lane-8 blocked replay,
-//! SIMD per `ARCHREL_SIMD`).
+//! compiled + staged path (`SolverPolicy::Compiled`, lane-8 blocked
+//! replay).
 //!
 //! The staged path answers every structure-preserving point by writing its
 //! parameter row straight into a `ParamBlock` (no per-point assembly
@@ -61,7 +61,6 @@ fn time_sweeps<T>(repeats: usize, mut sweep: impl FnMut() -> T) -> (Duration, T)
 fn options_for(solver: SolverPolicy) -> EvalOptions {
     EvalOptions {
         solver,
-        plan_lanes: LANE,
         ..EvalOptions::default()
     }
 }
@@ -167,7 +166,7 @@ through `sensitivity::binding_sensitivities`. Each configuration timed \
 {REPEATS}x, median reported, one worker. The sparse baseline rebuilds the \
 perturbed assembly and re-eliminates the chain per point; the staged path \
 (`--solver compiled`) generates each point's parameter row directly into \
-lane-8 blocks and replays the compiled tape (SIMD per `ARCHREL_SIMD`).\n\n\
+lane-8 blocks and replays the compiled tape.\n\n\
 ## Uncertainty ({SAMPLES} samples)\n\n\
 | path | sweep | per sample | speedup |\n\
 |------|------:|-----------:|--------:|\n\

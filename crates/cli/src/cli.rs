@@ -7,8 +7,8 @@ use std::io::Write;
 use archrel_core::batch::{BatchEvaluator, Query};
 use archrel_core::PlanCache;
 use archrel_core::{
-    symbolic, CycleMode, EvalOptions, Evaluator, FixedPointMode, ProgramMode, SimdMode, SimdPath,
-    SolverPolicy, DEFAULT_FIXED_POINT_MAX_ITERATIONS, DEFAULT_FIXED_POINT_TOLERANCE,
+    symbolic, CycleMode, EvalOptions, Evaluator, FixedPointMode, ProgramMode, SolverPolicy,
+    DEFAULT_FIXED_POINT_MAX_ITERATIONS, DEFAULT_FIXED_POINT_TOLERANCE,
 };
 use archrel_dsl::{dot, parse_assembly, print_assembly};
 use archrel_expr::Bindings;
@@ -94,13 +94,6 @@ common options:
              environment variable when set; compiled builds each flow
              structure's evaluation plan once and replays it per solve --
              fastest for sweeps)
-  --simd {auto,scalar,avx2,avx512}   instruction set for lane-8 block tape
-             replay in sweep/batch and the staged uncertainty/sensitivity
-             drivers (default: auto -- pick the widest vector unit the CPU
-             reports, or the ARCHREL_SIMD environment variable when set;
-             scalar is the bitwise reference, and every vector path is
-             pinned bitwise-identical to it). Forcing an instruction set
-             the CPU lacks is an error
   --assembly-program {auto,on,off}   compiled assembly programs: lower the
              service DAG to a topologically scheduled register program with
              per-service memoization, bitwise identical to the recursive
@@ -143,7 +136,6 @@ struct Options {
     target: Option<f64>,
     repeat: usize,
     solver: Option<SolverPolicy>,
-    simd: Option<SimdMode>,
     program: Option<ProgramMode>,
     fixed_point: Option<FixedPointMode>,
     artifact_dir: Option<String>,
@@ -163,9 +155,6 @@ impl Options {
         let mut options = EvalOptions::default();
         if let Some(solver) = self.solver {
             options.solver = solver;
-        }
-        if let Some(simd) = self.simd {
-            options.simd = simd;
         }
         if let Some(program) = self.program {
             options.program = program;
@@ -224,7 +213,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         target: None,
         repeat: 1,
         solver: None,
-        simd: None,
         program: None,
         fixed_point: None,
         artifact_dir: None,
@@ -288,27 +276,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                         "`--solver {value}`: expected auto, dense, sparse, or compiled"
                     ))
                 })?);
-            }
-            "--simd" => {
-                let value = next_value(args, &mut i, "--simd")?;
-                let mode = SimdMode::parse(&value).ok_or_else(|| {
-                    CliError::new(format!(
-                        "`--simd {value}`: expected auto, scalar, avx2, or avx512"
-                    ))
-                })?;
-                let forced = match mode {
-                    SimdMode::Avx2 => Some(SimdPath::Avx2),
-                    SimdMode::Avx512 => Some(SimdPath::Avx512),
-                    SimdMode::Auto | SimdMode::Scalar => None,
-                };
-                if let Some(path) = forced {
-                    if !path.is_available() {
-                        return Err(CliError::new(format!(
-                            "`--simd {value}`: this CPU does not support {value}"
-                        )));
-                    }
-                }
-                opts.simd = Some(mode);
             }
             "--assembly-program" => {
                 let value = next_value(args, &mut i, "--assembly-program")?;
@@ -422,14 +389,6 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             return Err(CliError::new(format!(
                 "unrecognized ARCHREL_SOLVER value `{raw}`: \
                  expected one of auto, dense, sparse, compiled"
-            )));
-        }
-    }
-    if let Ok(raw) = std::env::var("ARCHREL_SIMD") {
-        if !raw.trim().is_empty() && SimdMode::parse(&raw).is_none() {
-            return Err(CliError::new(format!(
-                "unrecognized ARCHREL_SIMD value `{raw}`: \
-                 expected one of auto, scalar, avx2, avx512"
             )));
         }
     }
@@ -1196,53 +1155,6 @@ mod tests {
             let err = run_capture(&["predict", path, "--service", "app", "--solver", "quantum"])
                 .unwrap_err();
             assert!(err.to_string().contains("auto, dense, sparse, or compiled"));
-        });
-    }
-
-    #[test]
-    fn simd_flag_selects_the_path_without_changing_the_answer() {
-        with_document(|path| {
-            let sweep = |simd: &str| {
-                run_capture(&[
-                    "sweep",
-                    path,
-                    "--service",
-                    "app",
-                    "--param",
-                    "work",
-                    "--from",
-                    "1e3",
-                    "--to",
-                    "1e6",
-                    "--steps",
-                    "5",
-                    "--solver",
-                    "compiled",
-                    "--simd",
-                    simd,
-                ])
-                .unwrap()
-            };
-            // The vector replay paths are pinned bitwise to the scalar tape,
-            // so every accepted instruction set prints an identical table.
-            let scalar = sweep("scalar");
-            assert_eq!(scalar.lines().count(), 6, "{scalar}");
-            assert_eq!(scalar, sweep("auto"));
-            if SimdPath::Avx2.is_available() {
-                assert_eq!(scalar, sweep("avx2"));
-            }
-            if SimdPath::Avx512.is_available() {
-                assert_eq!(scalar, sweep("avx512"));
-            }
-        });
-    }
-
-    #[test]
-    fn simd_flag_rejects_unknown_instruction_sets() {
-        with_document(|path| {
-            let err =
-                run_capture(&["predict", path, "--service", "app", "--simd", "neon"]).unwrap_err();
-            assert!(err.to_string().contains("auto, scalar, avx2, or avx512"));
         });
     }
 

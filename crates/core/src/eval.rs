@@ -17,8 +17,7 @@ use std::time::{Duration, Instant};
 
 use archrel_expr::Bindings;
 use archrel_markov::{
-    structure_fingerprint, BlockSolveKinds, ParamBlock, PlanScratch, PlanSolveKind, SimdMode,
-    SimdPath, SolvePlan, LANE,
+    structure_fingerprint, BlockSolveKinds, ParamBlock, PlanScratch, PlanSolveKind, SolvePlan, LANE,
 };
 use archrel_model::{
     Assembly, CompositeService, Probability, Service, ServiceCall, ServiceId, StateId,
@@ -281,13 +280,6 @@ pub struct EvalOptions {
     /// Tolerance / sweep budget / scheme for the sparse path's iterative
     /// fallback on cyclic chains.
     pub sparse: archrel_markov::SparseSolveOptions,
-    /// Number of parameter points accumulated per block before the blocked
-    /// evaluation path flushes a [`ParamBlock`] through a compiled plan
-    /// (`1..=LANE`). Defaults to the full [`LANE`] width, unless the
-    /// `ARCHREL_PLAN_LANES` environment variable overrides it — which is
-    /// how CI exercises partially-filled blocks (and `1`, the degenerate
-    /// per-point block) across the whole test suite.
-    pub plan_lanes: usize,
     /// Assembly-program compilation mode (defaults to
     /// [`ProgramMode::Auto`], unless the `ARCHREL_ASSEMBLY_PROGRAM`
     /// environment variable forces a mode). Programs answer both
@@ -295,20 +287,10 @@ pub struct EvalOptions {
     /// [`CycleMode::FixedPoint`] evaluations (the program's global
     /// fixed-point driver on cyclic targets).
     pub program: ProgramMode,
-    /// Whether assembly programs answer repeated sub-service invocations
-    /// from their per-service memo tables (bit-exact parameter keys, so
-    /// disabling this never changes a result — it only re-evaluates).
-    pub program_memo: bool,
     /// Fixed-point update scheme for [`CycleMode::FixedPoint`] (defaults to
     /// [`FixedPointMode::Plain`] — the bitwise reference — unless the
     /// `ARCHREL_FIXED_POINT` environment variable forces a mode).
     pub fixed_point: FixedPointMode,
-    /// SIMD dispatch mode for the lane-blocked tape replay (defaults to
-    /// [`SimdMode::Auto`] — runtime-detected AVX-512/AVX2 with the scalar
-    /// tape as the bitwise-reference fallback — unless the `ARCHREL_SIMD`
-    /// environment variable forces a path). Every path is bitwise-identical,
-    /// so this toggle never changes a result.
-    pub simd: SimdMode,
 }
 
 impl Default for EvalOptions {
@@ -317,45 +299,10 @@ impl Default for EvalOptions {
             cycle_mode: CycleMode::default(),
             solver: SolverPolicy::from_env().unwrap_or_default(),
             sparse: archrel_markov::SparseSolveOptions::default(),
-            plan_lanes: plan_lanes_from_env().unwrap_or(LANE),
             program: ProgramMode::from_env().unwrap_or_default(),
-            program_memo: true,
             fixed_point: FixedPointMode::from_env().unwrap_or_default(),
-            simd: SimdMode::from_env().unwrap_or_default(),
         }
     }
-}
-
-/// Parses a value of the `ARCHREL_PLAN_LANES` environment variable: an
-/// integer block-flush width in `1..=LANE`.
-///
-/// # Panics
-///
-/// Panics on anything else — mirroring the `ARCHREL_SOLVER` hard-error
-/// behavior, a typo'd override must not silently run the suite at the
-/// default lane width.
-pub fn parse_plan_lanes_env_value(raw: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(lanes) if (1..=LANE).contains(&lanes) => lanes,
-        _ => panic!(
-            "unrecognized ARCHREL_PLAN_LANES value `{raw}`: expected an integer in 1..={LANE}"
-        ),
-    }
-}
-
-/// Block-flush width forced by the `ARCHREL_PLAN_LANES` environment
-/// variable, if set. An empty value counts as unset (CI matrices expand
-/// absent entries to empty strings).
-///
-/// # Panics
-///
-/// Panics when the variable is set to an unrecognized value (see
-/// [`parse_plan_lanes_env_value`]).
-pub fn plan_lanes_from_env() -> Option<usize> {
-    std::env::var("ARCHREL_PLAN_LANES")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .map(|v| parse_plan_lanes_env_value(&v))
 }
 
 /// Hard cap on recursion depth, guarding against recursive assemblies whose
@@ -411,7 +358,7 @@ pub struct CacheStats {
     /// parameters directly into [`ParamBlock`] rows (no intermediate
     /// `Bindings`, no chain rebuild).
     pub stage_nanos: u64,
-    /// Nanoseconds spent inside blocked plan replays — the tape/SIMD kernel
+    /// Nanoseconds spent inside blocked plan replays — the tape replay
     /// itself plus the cyclic lane-by-lane fallback.
     pub replay_nanos: u64,
     /// Compiled plans evicted from the bounded plan cache (LRU on structure
@@ -1906,13 +1853,13 @@ impl<'a> Evaluator<'a> {
     /// blocked tape replay performs exactly the scalar arithmetic per lane —
     /// but instead of solving each point's top-level flow on the spot, points
     /// sharing a structure fingerprint accumulate into a [`ParamBlock`] and
-    /// are solved [`LANE`] (or [`EvalOptions::plan_lanes`]) at a time by a
-    /// single tape replay. Sub-service recursion, caching, and memoization
-    /// ride the normal scalar path. Points whose policy resolves to a direct
-    /// solver (or whose structure is not plan-compiled) are answered
-    /// immediately; [`CycleMode::FixedPoint`] falls back to per-point
-    /// evaluation. Errors are per-point: one malformed point yields an `Err`
-    /// in its slot without poisoning the rest.
+    /// are solved [`LANE`] at a time by a single tape replay. Sub-service
+    /// recursion, caching, and memoization ride the normal scalar path.
+    /// Points whose policy resolves to a direct solver (or whose structure
+    /// is not plan-compiled) are answered immediately;
+    /// [`CycleMode::FixedPoint`] falls back to per-point evaluation. Errors
+    /// are per-point: one malformed point yields an `Err` in its slot
+    /// without poisoning the rest.
     pub fn failure_probabilities_block(
         &self,
         service: &ServiceId,
@@ -1948,11 +1895,7 @@ impl<'a> Evaluator<'a> {
         let mut results: Vec<Option<Result<Probability>>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
         let mut success = vec![f64::NAN; n];
-        let mut acc = FlowBlockAccumulator::new(
-            Arc::clone(&self.plans),
-            self.options.plan_lanes,
-            self.options.simd,
-        );
+        let mut acc = FlowBlockAccumulator::new(Arc::clone(&self.plans));
         // First point of each still-in-flight (deferred) parameter key, and
         // the duplicates waiting on it.
         let mut first_of: HashMap<String, usize> = HashMap::new();
@@ -2135,11 +2078,6 @@ pub(crate) enum BlockedOutcome {
 /// collected per tag (a bad point must not poison its block-mates).
 pub(crate) struct FlowBlockAccumulator {
     plans: Arc<PlanCache>,
-    /// Flush threshold in `1..=LANE` (see [`EvalOptions::plan_lanes`]).
-    lanes: usize,
-    /// Hardware-validated replay path, resolved once at construction (see
-    /// [`EvalOptions::simd`]) and reused across every flush.
-    path: SimdPath,
     pending: Vec<PendingBlock>,
     scratch: PlanScratch,
     params_buf: Vec<f64>,
@@ -2158,11 +2096,9 @@ struct PendingBlock {
 }
 
 impl FlowBlockAccumulator {
-    pub(crate) fn new(plans: Arc<PlanCache>, lanes: usize, simd: SimdMode) -> Self {
+    pub(crate) fn new(plans: Arc<PlanCache>) -> Self {
         FlowBlockAccumulator {
             plans,
-            lanes: lanes.clamp(1, LANE),
-            path: simd.resolve(),
             pending: Vec::new(),
             scratch: PlanScratch::new(),
             params_buf: Vec::new(),
@@ -2174,8 +2110,7 @@ impl FlowBlockAccumulator {
     }
 
     /// Queues one point (the parameters `plan` extracts from `chain`) under
-    /// tag `tag`, flushing the structure's block into `out` when it reaches
-    /// the lane threshold.
+    /// tag `tag`, flushing the structure's block into `out` when it fills.
     fn submit(
         &mut self,
         plan: &Arc<SolvePlan>,
@@ -2234,13 +2169,9 @@ impl FlowBlockAccumulator {
         }
     }
 
-    /// Flushes the (single) block that just reached the lane threshold.
+    /// Flushes the (single) block that just filled.
     fn flush_full(&mut self, out: &mut [f64]) {
-        if let Some(idx) = self
-            .pending
-            .iter()
-            .position(|p| p.block.len() >= self.lanes)
-        {
+        if let Some(idx) = self.pending.iter().position(|p| p.block.is_full()) {
             self.flush_at(idx, out);
         }
     }
@@ -2261,7 +2192,7 @@ impl FlowBlockAccumulator {
         }
         match pending
             .plan
-            .evaluate_block_with_path(&pending.block, &mut self.scratch, self.path)
+            .evaluate_block_with_kinds(&pending.block, &mut self.scratch)
         {
             Ok((values, kinds)) => {
                 for (lane, &value) in values.iter().enumerate() {
@@ -2935,24 +2866,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_lanes_env_value_parses_or_hard_errors() {
-        assert_eq!(parse_plan_lanes_env_value("1"), 1);
-        assert_eq!(parse_plan_lanes_env_value(" 4 "), 4);
-        assert_eq!(parse_plan_lanes_env_value(&LANE.to_string()), LANE);
-        // Anything else must panic listing the accepted range — mirroring
-        // the `ARCHREL_SOLVER` hard-error behavior. `parse_plan_lanes_env_value`
-        // is probed directly so parallel tests reading the process-global
-        // `ARCHREL_PLAN_LANES` are not perturbed.
-        for bad in ["0", "9999", "fast", "-1", "2.5"] {
-            let err = std::panic::catch_unwind(|| parse_plan_lanes_env_value(bad))
-                .expect_err("bad lane count must not parse");
-            let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(message.contains("ARCHREL_PLAN_LANES"), "{message}");
-            assert!(message.contains(bad), "{message}");
-        }
-    }
-
-    #[test]
     fn plan_cache_capacity_evicts_least_recently_used_structures() {
         // Two structurally different composites over a capacity-1 cache:
         // each compile evicts the other, and the counter records it.
@@ -3021,31 +2934,33 @@ mod tests {
                 .map(|env| eval.failure_probability(&service, env).unwrap().value())
                 .collect()
         };
-        for lanes in [1, 3, LANE] {
+        // Every prefix length up to two full blocks plus one, so each
+        // final-block occupancy 1..=LANE flushes through the accumulator.
+        for n in 1..=2 * LANE + 1 {
             let eval = Evaluator::with_options(
                 &assembly,
                 EvalOptions {
                     solver: SolverPolicy::Compiled,
-                    plan_lanes: lanes,
                     // This test pins the lane-blocked deferral path, which a
                     // compiled program would answer directly.
                     program: ProgramMode::Off,
                     ..EvalOptions::default()
                 },
             );
-            let refs: Vec<&Bindings> = envs.iter().collect();
+            let refs: Vec<&Bindings> = envs.iter().take(n).collect();
             let got = eval.failure_probabilities_block(&service, &refs);
+            assert_eq!(got.len(), n);
             for (i, (s, g)) in scalar.iter().zip(&got).enumerate() {
                 let g = g.as_ref().unwrap();
-                assert_eq!(
-                    s.to_bits(),
-                    g.value().to_bits(),
-                    "lane width {lanes}, point {i}"
-                );
+                assert_eq!(s.to_bits(), g.value().to_bits(), "points {n}, point {i}");
             }
             let stats = eval.cache_stats();
-            assert!(stats.block_points >= 1, "lanes {lanes}: {stats:?}");
-            assert!(stats.block_flushes >= 1, "lanes {lanes}: {stats:?}");
+            assert_eq!(stats.block_points, n as u64, "points {n}: {stats:?}");
+            assert_eq!(
+                stats.block_flushes,
+                n.div_ceil(LANE) as u64,
+                "points {n}: {stats:?}"
+            );
         }
     }
 
@@ -3182,7 +3097,7 @@ mod tests {
     }
 
     #[test]
-    fn program_memo_counts_shared_subservice_hits() {
+    fn compiled_program_counts_shared_subservice_memo_hits() {
         use archrel_model::paper;
         let assembly = paper::remote_assembly(&paper::PaperParams::default()).unwrap();
         let service: ServiceId = paper::SEARCH.into();

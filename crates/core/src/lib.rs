@@ -72,15 +72,14 @@ mod staged;
 pub mod symbolic;
 pub mod uncertainty;
 
-pub use archrel_markov::{SimdMode, SimdPath};
 pub use augment::{augmented_chain, AugmentedState};
 pub use batch::{BatchEvaluator, BatchSummary, Query};
 pub use cancel::CancelToken;
 pub use error::CoreError;
 pub use eval::{
-    parse_plan_lanes_env_value, plan_lanes_from_env, CacheStats, CycleMode, EvalOptions, Evaluator,
-    FixedPointMode, PlanCache, ProgramMode, SolverPolicy, ValueCache, AUTO_PROGRAM_MIN_SEEN,
-    DEFAULT_FIXED_POINT_MAX_ITERATIONS, DEFAULT_FIXED_POINT_TOLERANCE, DEFAULT_PLAN_CACHE_CAPACITY,
+    CacheStats, CycleMode, EvalOptions, Evaluator, FixedPointMode, PlanCache, ProgramMode,
+    SolverPolicy, ValueCache, AUTO_PROGRAM_MIN_SEEN, DEFAULT_FIXED_POINT_MAX_ITERATIONS,
+    DEFAULT_FIXED_POINT_TOLERANCE, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use failprob::{state_failure_probability, RequestFailure};
 pub use program::AssemblyProgram;

@@ -78,8 +78,8 @@
 //! [`crate::Evaluator`], and cyclic fixed points replicate the recursive
 //! sweeps' break/memo/residual arithmetic key for key. The differential
 //! proptests `tests/program_differential.rs` pin this equivalence — acyclic
-//! and cyclic — under every [`crate::SolverPolicy`], memo on or off, at any
-//! worker count.
+//! and cyclic — under every [`crate::SolverPolicy`] and at any worker
+//! count.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -593,9 +593,8 @@ impl<'a> AssemblyProgram<'a> {
         }
         let cone = self.cone.read().clone();
         let cone = cone.as_deref().map(Vec::as_slice);
-        let memo_on = evaluator.options().program_memo;
         self.seed_root_inputs(env, rt)?;
-        self.eval_node(evaluator, rt, cone, memo_on, self.root, 0, None)
+        self.eval_node(evaluator, rt, cone, self.root, 0, None)
     }
 
     /// Resets the runtime's register stack and loads the target's bound
@@ -650,7 +649,6 @@ impl<'a> AssemblyProgram<'a> {
     ) -> Result<Probability> {
         let cone = self.cone.read().clone();
         let cone = cone.as_deref().map(Vec::as_slice);
-        let memo_on = evaluator.options().program_memo;
         let mut solver: FixedPointSolver<LoopKey> =
             FixedPointSolver::new(evaluator.options().fixed_point, max_iterations, tolerance);
         for _ in 0..max_iterations {
@@ -662,8 +660,7 @@ impl<'a> AssemblyProgram<'a> {
                     stack: Vec::new(),
                     cycle_keys: HashSet::new(),
                 };
-                let top =
-                    self.eval_node(evaluator, rt, cone, memo_on, self.root, 0, Some(&mut sweep))?;
+                let top = self.eval_node(evaluator, rt, cone, self.root, 0, Some(&mut sweep))?;
                 (top, sweep.cycle_keys, sweep.memo)
             };
             if cycle_keys.is_empty() {
@@ -697,26 +694,21 @@ impl<'a> AssemblyProgram<'a> {
     /// detour through [`AssemblyProgram::eval_loop_node`]; everything
     /// outside the loop cone is estimate-independent and keeps the
     /// persistent caches.
-    #[allow(clippy::too_many_arguments)]
     fn eval_node(
         &self,
         evaluator: &Evaluator<'a>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
-        memo_on: bool,
         node: usize,
         base: usize,
         fp: Option<&mut FpSweep<'_>>,
     ) -> Result<Probability> {
         if let Some(sweep) = fp {
             if self.loop_cone[node] {
-                return self.eval_loop_node(evaluator, rt, cone, memo_on, node, base, sweep);
+                return self.eval_loop_node(evaluator, rt, cone, node, base, sweep);
             }
         }
         let arity = self.nodes[node].formals.len();
-        if !memo_on {
-            return self.compute_node(evaluator, rt, cone, memo_on, node, base, None);
-        }
         if cone.is_some_and(|c| !c[node]) {
             if let Some((key, value)) = &rt.nodes[node].pin {
                 let matches = key.len() == arity
@@ -729,7 +721,7 @@ impl<'a> AssemblyProgram<'a> {
                     return Ok(*value);
                 }
             }
-            let p = self.compute_node(evaluator, rt, cone, memo_on, node, base, None)?;
+            let p = self.compute_node(evaluator, rt, cone, node, base, None)?;
             let key: Box<[u64]> = rt.inputs[base..base + arity]
                 .iter()
                 .map(|v| v.to_bits())
@@ -745,7 +737,7 @@ impl<'a> AssemblyProgram<'a> {
             return Ok(*p);
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let p = self.compute_node(evaluator, rt, cone, memo_on, node, base, None)?;
+        let p = self.compute_node(evaluator, rt, cone, node, base, None)?;
         // `rt.key` may have been clobbered by recursion; the node's own
         // registers are still intact (children only grow/shrink `inputs`
         // beyond this window).
@@ -761,13 +753,11 @@ impl<'a> AssemblyProgram<'a> {
     /// memo, estimate-based cycle breaking on a `(node, inputs)` re-entry
     /// or at the recursion depth cap — never the persistent memo or pin,
     /// whose entries would leak pre-convergence estimates across sweeps.
-    #[allow(clippy::too_many_arguments)]
     fn eval_loop_node(
         &self,
         evaluator: &Evaluator<'a>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
-        memo_on: bool,
         node: usize,
         base: usize,
         sweep: &mut FpSweep<'_>,
@@ -789,20 +779,18 @@ impl<'a> AssemblyProgram<'a> {
             return Ok(Probability::new(estimate)?);
         }
         sweep.stack.push(key.clone());
-        let result = self.compute_node(evaluator, rt, cone, memo_on, node, base, Some(sweep));
+        let result = self.compute_node(evaluator, rt, cone, node, base, Some(sweep));
         sweep.stack.pop();
         let p = result?;
         sweep.memo.insert(key, p);
         Ok(p)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn compute_node(
         &self,
         evaluator: &Evaluator<'a>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
-        memo_on: bool,
         node: usize,
         base: usize,
         fp: Option<&mut FpSweep<'_>>,
@@ -817,16 +805,8 @@ impl<'a> AssemblyProgram<'a> {
                 // wasted chain rebuild, but sound, and the outer restore
                 // wins.
                 let mut scratch = std::mem::take(&mut rt.nodes[node]);
-                let result = self.compute_composite(
-                    evaluator,
-                    rt,
-                    cone,
-                    memo_on,
-                    node,
-                    base,
-                    &mut scratch,
-                    fp,
-                );
+                let result =
+                    self.compute_composite(evaluator, rt, cone, node, base, &mut scratch, fp);
                 rt.nodes[node] = scratch;
                 result
             }
@@ -842,7 +822,6 @@ impl<'a> AssemblyProgram<'a> {
         evaluator: &Evaluator<'a>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
-        memo_on: bool,
         node: usize,
         base: usize,
         scratch: &mut NodeScratch,
@@ -876,15 +855,7 @@ impl<'a> AssemblyProgram<'a> {
                 }
                 let cbase = rt.inputs.len();
                 rt.inputs.extend_from_slice(&rt.child);
-                let r = self.eval_node(
-                    evaluator,
-                    rt,
-                    cone,
-                    memo_on,
-                    call.target,
-                    cbase,
-                    fp.as_deref_mut(),
-                );
+                let r = self.eval_node(evaluator, rt, cone, call.target, cbase, fp.as_deref_mut());
                 rt.inputs.truncate(cbase);
                 let target_fail = r?;
 
@@ -907,7 +878,6 @@ impl<'a> AssemblyProgram<'a> {
                             evaluator,
                             rt,
                             cone,
-                            memo_on,
                             conn.target,
                             cbase,
                             fp.as_deref_mut(),

@@ -310,7 +310,6 @@ fn staged_results(
     plans: &Arc<PlanCache>,
     workers: usize,
 ) -> Vec<Result<Option<SelectionResult>>> {
-    let options = problem.eval_options;
     let result_for = |choices: &[usize], failure_probability: Probability| SelectionResult {
         choices: choices.to_vec(),
         description: problem
@@ -322,8 +321,7 @@ fn staged_results(
         failure_probability,
     };
     let run_stripe = |stripe: Vec<usize>| -> Vec<(usize, Result<Option<SelectionResult>>)> {
-        let mut acc =
-            FlowBlockAccumulator::new(Arc::clone(plans), options.plan_lanes, options.simd);
+        let mut acc = FlowBlockAccumulator::new(Arc::clone(plans));
         let mut success = vec![f64::NAN; stripe.len()];
         let mut results: Vec<Option<Result<Option<SelectionResult>>>> =
             Vec::with_capacity(stripe.len());

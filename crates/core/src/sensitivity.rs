@@ -222,7 +222,6 @@ fn staged_probes(
     workers: usize,
 ) -> Vec<Result<Probability>> {
     debug_assert_eq!(names.len(), envs.len());
-    let options = evaluator.options();
     let plans = evaluator.plan_cache();
     // A center that fails to stage sends every probe through full
     // staging, which reports any error probe by probe exactly as before.
@@ -234,8 +233,7 @@ fn staged_probes(
     };
     let center = center.as_ref();
     let run_stripe = |stripe: Vec<usize>| -> Vec<(usize, Result<Probability>)> {
-        let mut acc =
-            FlowBlockAccumulator::new(Arc::clone(plans), options.plan_lanes, options.simd);
+        let mut acc = FlowBlockAccumulator::new(Arc::clone(plans));
         let mut success = vec![f64::NAN; stripe.len()];
         let mut results: Vec<Option<Result<Probability>>> = Vec::with_capacity(stripe.len());
         results.resize_with(stripe.len(), || None);

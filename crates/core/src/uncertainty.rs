@@ -311,8 +311,7 @@ pub fn propagate_with_plan_cache(
     // across evaluator lifetimes. Block ≡ scalar bitwise on compiled
     // acyclic structures, so the summary stays worker-count independent.
     let run_stripe = |stripe: Vec<usize>| -> Result<Vec<(usize, f64)>> {
-        let mut acc =
-            FlowBlockAccumulator::new(Arc::clone(plans), options.plan_lanes, options.simd);
+        let mut acc = FlowBlockAccumulator::new(Arc::clone(plans));
         let mut success = vec![f64::NAN; stripe.len()];
         let mut values: Vec<Option<f64>> = vec![None; stripe.len()];
         let mut deferred: Vec<usize> = Vec::new();
@@ -454,7 +453,7 @@ pub fn interval_with_options(
         None => None,
     };
     let mut scratch = staged.as_ref().map(|(sweep, _)| sweep.new_scratch());
-    let mut acc = FlowBlockAccumulator::new(Arc::clone(&plans), options.plan_lanes, options.simd);
+    let mut acc = FlowBlockAccumulator::new(Arc::clone(&plans));
     let mut success = [f64::NAN; 2];
     let mut stage_nanos = 0u64;
     let mut bracket = |factors: &[f64], tag: usize| -> Result<Option<Probability>> {

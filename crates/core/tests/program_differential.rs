@@ -5,15 +5,14 @@
 //! *and* a leaf directly) and shared sub-services (several parents calling
 //! the same child) — are evaluated through the compiled program path and
 //! the recursive evaluator. The two must agree **bitwise** under every
-//! [`SolverPolicy`], with the per-service memo on or off, and at any
-//! batch worker count.
+//! [`SolverPolicy`] and at any batch worker count.
 //!
 //! A second generator produces random *cyclic* assemblies — stacked
 //! mutually-recursive mesh groups (single- and multi-service SCCs,
 //! self-loops, extra back edges) over the same leaf tier — and pins the
 //! compiled fixed-point driver bitwise to the recursive
 //! [`CycleMode::FixedPoint`] sweeps under plain substitution, across the
-//! same solver/memo/worker matrix.
+//! same solver/worker matrix.
 
 use archrel_core::{
     BatchEvaluator, CoreError, CycleMode, EvalOptions, Evaluator, ProgramMode, Query, SolverPolicy,
@@ -154,24 +153,23 @@ fn build(spec: &DagSpec) -> Assembly {
         .expect("assembly is valid")
 }
 
-fn opts(program: ProgramMode, solver: SolverPolicy, memo: bool) -> EvalOptions {
+fn opts(program: ProgramMode, solver: SolverPolicy) -> EvalOptions {
     EvalOptions {
         program,
         solver,
-        program_memo: memo,
         ..EvalOptions::default()
     }
 }
 
 /// Like [`opts`], but evaluating cycles by fixed point (the only mode a
 /// cyclic assembly evaluates under).
-fn fp_opts(program: ProgramMode, solver: SolverPolicy, memo: bool) -> EvalOptions {
+fn fp_opts(program: ProgramMode, solver: SolverPolicy) -> EvalOptions {
     EvalOptions {
         cycle_mode: CycleMode::FixedPoint {
             max_iterations: 1000,
             tolerance: 1e-10,
         },
-        ..opts(program, solver, memo)
+        ..opts(program, solver)
     }
 }
 
@@ -206,8 +204,8 @@ proptest! {
             SolverPolicy::Sparse,
             SolverPolicy::Compiled,
         ] {
-            let recursive = eval_bits(&assembly, opts(ProgramMode::Off, solver, true), &POINTS);
-            let program = eval_bits(&assembly, opts(ProgramMode::On, solver, true), &POINTS);
+            let recursive = eval_bits(&assembly, opts(ProgramMode::Off, solver), &POINTS);
+            let program = eval_bits(&assembly, opts(ProgramMode::On, solver), &POINTS);
             prop_assert_eq!(
                 &recursive,
                 &program,
@@ -215,21 +213,6 @@ proptest! {
                 solver
             );
         }
-    }
-
-    /// Disabling the per-service memo only re-evaluates — it never changes
-    /// a bit (the memo key is the exact parameter bit pattern).
-    #[test]
-    fn memo_on_and_off_are_bitwise_equal(spec in spec_strategy()) {
-        let assembly = build(&spec);
-        // Repeated points exercise both the top-level cache and the
-        // per-service memo tables.
-        let points = [1e3, 1e3, 2e4, 2e4, 1e6];
-        let with_memo =
-            eval_bits(&assembly, opts(ProgramMode::On, SolverPolicy::Auto, true), &points);
-        let without_memo =
-            eval_bits(&assembly, opts(ProgramMode::On, SolverPolicy::Auto, false), &points);
-        prop_assert_eq!(with_memo, without_memo);
     }
 
     /// Batch evaluation through the program path is bitwise identical to
@@ -240,7 +223,7 @@ proptest! {
         let points: Vec<f64> = (0..16).map(|i| 1e3 * (i as f64 + 1.0)).collect();
         let expected = eval_bits(
             &assembly,
-            opts(ProgramMode::Off, SolverPolicy::Auto, true),
+            opts(ProgramMode::Off, SolverPolicy::Auto),
             &points,
         );
         let queries: Vec<Query> = points
@@ -250,7 +233,7 @@ proptest! {
         for workers in [1, 2, 4] {
             let batch = BatchEvaluator::with_options(
                 &assembly,
-                opts(ProgramMode::On, SolverPolicy::Auto, true),
+                opts(ProgramMode::On, SolverPolicy::Auto),
             )
             .with_workers(workers);
             let got: Vec<u64> = batch
@@ -411,9 +394,9 @@ proptest! {
             SolverPolicy::Compiled,
         ] {
             let recursive =
-                eval_bits(&assembly, fp_opts(ProgramMode::Off, solver, true), &CYCLE_POINTS);
+                eval_bits(&assembly, fp_opts(ProgramMode::Off, solver), &CYCLE_POINTS);
             let program =
-                eval_bits(&assembly, fp_opts(ProgramMode::On, solver, true), &CYCLE_POINTS);
+                eval_bits(&assembly, fp_opts(ProgramMode::On, solver), &CYCLE_POINTS);
             prop_assert_eq!(
                 &recursive,
                 &program,
@@ -421,19 +404,6 @@ proptest! {
                 solver
             );
         }
-    }
-
-    /// The per-service memo only caches out-of-loop-cone values, so
-    /// toggling it never changes a bit of a cyclic fixed point.
-    #[test]
-    fn cyclic_memo_on_and_off_are_bitwise_equal(spec in cycle_strategy()) {
-        let assembly = build_cyclic(&spec);
-        let points = [1e3, 1e3, 2e4, 2e4];
-        let with_memo =
-            eval_bits(&assembly, fp_opts(ProgramMode::On, SolverPolicy::Auto, true), &points);
-        let without_memo =
-            eval_bits(&assembly, fp_opts(ProgramMode::On, SolverPolicy::Auto, false), &points);
-        prop_assert_eq!(with_memo, without_memo);
     }
 
     /// Batch evaluation of cyclic targets is bitwise identical to the
@@ -444,7 +414,7 @@ proptest! {
         let points: Vec<f64> = (0..8).map(|i| 1e3 * (i as f64 + 1.0)).collect();
         let expected = eval_bits(
             &assembly,
-            fp_opts(ProgramMode::Off, SolverPolicy::Auto, true),
+            fp_opts(ProgramMode::Off, SolverPolicy::Auto),
             &points,
         );
         let queries: Vec<Query> = points
@@ -454,7 +424,7 @@ proptest! {
         for workers in [1, 2, 4] {
             let batch = BatchEvaluator::with_options(
                 &assembly,
-                fp_opts(ProgramMode::On, SolverPolicy::Auto, true),
+                fp_opts(ProgramMode::On, SolverPolicy::Auto),
             )
             .with_workers(workers);
             let got: Vec<u64> = batch
@@ -493,8 +463,7 @@ fn cyclic_assembly_errors_by_default_and_evaluates_by_fixed_point() {
         ))
         .build()
         .expect("assembly is valid");
-    let evaluator =
-        Evaluator::with_options(&assembly, opts(ProgramMode::On, SolverPolicy::Auto, true));
+    let evaluator = Evaluator::with_options(&assembly, opts(ProgramMode::On, SolverPolicy::Auto));
     let err = evaluator
         .failure_probability(&"a".into(), &Bindings::new())
         .unwrap_err();
@@ -509,17 +478,12 @@ fn cyclic_assembly_errors_by_default_and_evaluates_by_fixed_point() {
     }
     // Under fixed-point mode the same assembly evaluates; program and
     // recursive paths agree bitwise.
-    let recursive = Evaluator::with_options(
-        &assembly,
-        fp_opts(ProgramMode::Off, SolverPolicy::Auto, true),
-    )
-    .failure_probability(&"a".into(), &Bindings::new())
-    .expect("fixed point converges");
-    let program = Evaluator::with_options(
-        &assembly,
-        fp_opts(ProgramMode::On, SolverPolicy::Auto, true),
-    )
-    .failure_probability(&"a".into(), &Bindings::new())
-    .expect("fixed point converges");
+    let recursive =
+        Evaluator::with_options(&assembly, fp_opts(ProgramMode::Off, SolverPolicy::Auto))
+            .failure_probability(&"a".into(), &Bindings::new())
+            .expect("fixed point converges");
+    let program = Evaluator::with_options(&assembly, fp_opts(ProgramMode::On, SolverPolicy::Auto))
+        .failure_probability(&"a".into(), &Bindings::new())
+        .expect("fixed point converges");
     assert_eq!(recursive.value().to_bits(), program.value().to_bits());
 }

@@ -18,9 +18,6 @@
 //! - [`sherman_morrison_solve`]: rank-1 incremental re-solve against a fixed
 //!   [`Lu`] factorization, used by the compiled evaluation plans to answer
 //!   single-row parameter perturbations in `O(n²)`.
-//! - [`simd`]: runtime-dispatched AVX2/AVX-512 kernels for the lane-8 blocked
-//!   tape replay, selected via `ARCHREL_SIMD` and pinned bitwise-identical to
-//!   the portable scalar reference.
 //!
 //! # Examples
 //!
@@ -37,10 +34,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module is the crate's single,
-// narrowly-scoped `unsafe` surface (CPU intrinsics behind a checked dispatch
-// boundary); everything else still refuses unsafe code outright.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod csr;
@@ -49,7 +43,6 @@ pub mod iterative;
 mod lu;
 mod matrix;
 mod rank1;
-pub mod simd;
 mod vector;
 mod view;
 

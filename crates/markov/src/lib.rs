@@ -67,11 +67,6 @@ pub use plan::{
 pub use section::{Section, SliceBacking};
 pub use sparse::{absorption_probability_sparse, SparseMethod, SparseSolveOptions};
 
-// The SIMD dispatch surface of the blocked tape replay lives in
-// `archrel-linalg` (the workspace's only sanctioned `unsafe` module);
-// re-exported here because plan evaluation is where callers meet it.
-pub use archrel_linalg::simd::{SimdMode, SimdPath};
-
 /// Alias naming [`MarkovError`] in its solver role: the absorption-solve
 /// entry points ([`absorption_probability_to`],
 /// [`absorption_probability_sparse`]) report failures such as

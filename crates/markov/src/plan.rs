@@ -36,7 +36,6 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use archrel_linalg::simd::{replay_tape_lane8, Lane8, SimdMode, SimdPath, TapeView};
 use archrel_linalg::{
     lu_solve_view, sherman_morrison_solve_view, LinalgError, Lu, Matrix, Vector, RANK1_REFUSAL_EPS,
     SINGULARITY_EPS,
@@ -184,6 +183,13 @@ impl ParamBlock {
     }
 }
 
+/// One lane-major group of the blocked solution tile: the value of a single
+/// transient state across all [`LANE`] lanes, aligned so each group is
+/// exactly one 64-byte cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct Lane8([f64; LANE]);
+
 /// Reusable work arena for [`SolvePlan::evaluate_scratch`] and
 /// [`SolvePlan::evaluate_block`]: after warm-up, repeated evaluations of
 /// same-sized plans perform no heap allocation.
@@ -191,8 +197,8 @@ impl ParamBlock {
 pub struct PlanScratch {
     /// Scalar back-substitution vector.
     x: Vec<f64>,
-    /// Blocked back-substitution tile, one 64-byte-aligned lane group per
-    /// transient so the SIMD replay kernels use aligned vector moves.
+    /// Blocked back-substitution tile, one cache-line-aligned lane group
+    /// per transient.
     x_block: Vec<Lane8>,
     /// De-interleaved single-lane parameters (cyclic block fallback).
     lane_params: Vec<f64>,
@@ -746,47 +752,15 @@ impl SolvePlan {
     }
 
     /// Like [`SolvePlan::evaluate_block`], also tallying how each lane was
-    /// answered. The replay path is resolved from `ARCHREL_SIMD` on every
-    /// call (defaulting to `auto`); hot-loop callers that already resolved a
-    /// [`SimdPath`] once should use [`SolvePlan::evaluate_block_with_path`].
+    /// answered.
     ///
     /// # Errors
     ///
     /// See [`SolvePlan::evaluate_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ARCHREL_SIMD` is set to an unrecognized value or forces
-    /// an instruction set the running CPU lacks (see [`SimdMode`]).
     pub fn evaluate_block_with_kinds<'s>(
         &self,
         block: &ParamBlock,
         scratch: &'s mut PlanScratch,
-    ) -> Result<(&'s [f64], BlockSolveKinds)> {
-        let path = SimdMode::from_env().unwrap_or_default().resolve();
-        self.evaluate_block_with_path(block, scratch, path)
-    }
-
-    /// Like [`SolvePlan::evaluate_block_with_kinds`], but replaying acyclic
-    /// tapes on a caller-resolved SIMD path (resolve a [`SimdMode`] once,
-    /// then reuse the [`SimdPath`] across flushes). Every path performs the
-    /// scalar reference arithmetic per lane — no FMA contraction, IEEE
-    /// division — so results are bitwise-identical across paths; cyclic
-    /// plans ignore `path` and fall back lane by lane as before.
-    ///
-    /// # Errors
-    ///
-    /// See [`SolvePlan::evaluate_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `path` names an instruction set the running CPU does not
-    /// support (resolve via [`SimdMode::resolve`] to prevent this).
-    pub fn evaluate_block_with_path<'s>(
-        &self,
-        block: &ParamBlock,
-        scratch: &'s mut PlanScratch,
-        path: SimdPath,
     ) -> Result<(&'s [f64], BlockSolveKinds)> {
         if block.slot_count() != self.slot_count {
             return Err(plan_shape_mismatch(self.slot_count, block.slot_count()));
@@ -806,27 +780,7 @@ impl SolvePlan {
                 // partially filled block gather harmlessly — unoccupied lane
                 // values are never read back out below.
                 let rows: [&[f64]; LANE] = std::array::from_fn(|l| block.lane_row(l));
-                let pos = tape.pos.as_slice();
-                match path {
-                    SimdPath::Scalar => {
-                        self.replay_tape_scalar(tape, &rows, occupied, &mut scratch.x_block)?
-                    }
-                    vector => {
-                        let view = TapeView {
-                            pos,
-                            r_slot: tape.r_slot.as_slice(),
-                            self_slot: tape.self_slot.as_slice(),
-                            term_off: tape.term_off.as_slice(),
-                            term_slot: tape.term_slot.as_slice(),
-                            term_pos: tape.term_pos.as_slice(),
-                            slot_none: PLAN_SLOT_NONE,
-                        };
-                        replay_tape_lane8(vector, &view, &rows, occupied, &mut scratch.x_block)
-                            .map_err(|k| MarkovError::TrappedMass {
-                                state: format!("transient position {} (self-loop ≥ 1)", pos[k]),
-                            })?;
-                    }
-                }
+                Self::replay_tape(tape, &rows, occupied, &mut scratch.x_block)?;
                 kinds.tape = occupied as u64;
                 scratch.out.clear();
                 scratch
@@ -850,12 +804,11 @@ impl SolvePlan {
         Ok((scratch.out.as_slice(), kinds))
     }
 
-    /// Portable scalar lane-8 tape replay — the bitwise reference every SIMD
-    /// kernel is pinned to. The fixed-trip-count inner loops autovectorize on
-    /// stable Rust against the x86-64 SSE2 baseline; per lane the arithmetic
-    /// is exactly the scalar [`SolvePlan::evaluate`] sequence.
-    fn replay_tape_scalar(
-        &self,
+    /// Portable lane-8 tape replay. The fixed-trip-count inner loops
+    /// autovectorize on stable Rust against the x86-64 SSE2 baseline; per
+    /// lane the arithmetic is exactly the scalar [`SolvePlan::evaluate`]
+    /// sequence.
+    fn replay_tape(
         tape: &Tape,
         rows: &[&[f64]; LANE],
         occupied: usize,
@@ -874,7 +827,7 @@ impl SolvePlan {
             };
             for t in term_off[k] as usize..term_off[k + 1] as usize {
                 let slot = term_slot[t] as usize;
-                let xj = &x_block[term_pos[t] as usize];
+                let xj = &x_block[term_pos[t] as usize].0;
                 for l in 0..LANE {
                     s[l] += rows[l][slot] * xj[l];
                 }
@@ -1558,6 +1511,16 @@ mod tests {
     }
 
     #[test]
+    fn lane8_is_sixtyfour_byte_aligned() {
+        assert_eq!(std::mem::align_of::<Lane8>(), 64);
+        assert_eq!(std::mem::size_of::<Lane8>(), 64);
+        let tile = vec![Lane8::default(); 3];
+        for group in &tile {
+            assert_eq!(group.0.as_ptr() as usize % 64, 0);
+        }
+    }
+
+    #[test]
     fn cyclic_block_fallback_matches_scalar_per_lane() {
         let baseline = gamblers_ruin(0.5, 8);
         let plan = SolvePlan::compile(&baseline, &3, &8).unwrap();
@@ -1586,7 +1549,7 @@ mod tests {
         let plan = SolvePlan::compile(&branchy_chain(0.5), &"s", &"end").unwrap();
         let mut block = ParamBlock::for_plan(&plan);
         let mut scratch = PlanScratch::new();
-        // Occupy every lane with a degenerate self-loop = 1.0 point...
+        // Occupy lane 1 with a degenerate self-loop = 1.0 point...
         let mut bad = plan.parameters(&branchy_chain(0.5)).unwrap();
         for (i, p) in bad.iter_mut().enumerate() {
             // Slot layout for branchy_chain: s→a, s→b, a→a, a→end, a→fail, ...
@@ -1594,6 +1557,8 @@ mod tests {
                 *p = 1.0;
             }
         }
+        let good = plan.parameters(&branchy_chain(0.3)).unwrap();
+        block.push(&good).unwrap();
         block.push(&bad).unwrap();
         assert!(matches!(
             plan.evaluate_block(&block, &mut scratch),
@@ -1601,7 +1566,6 @@ mod tests {
         ));
         // ...then leave the bad point only in a *stale* lane: no error.
         block.clear();
-        let good = plan.parameters(&branchy_chain(0.3)).unwrap();
         block.push(&good).unwrap();
         let values = plan.evaluate_block(&block, &mut scratch).unwrap();
         assert_eq!(values.len(), 1);

@@ -1,29 +1,18 @@
-//! Differential suite pinning every SIMD block-replay path bitwise to the
-//! scalar tape.
+//! Differential suite pinning the lane-8 block replay bitwise to the
+//! per-point tape.
 //!
-//! The lane-8 block replay ([`SolvePlan::evaluate_block_with_path`])
-//! promises results bitwise-identical to the scalar reference
-//! ([`SolvePlan::evaluate`]) on every instruction set, at every occupancy,
-//! for any parameter values the scalar path accepts — including exact 0/1
-//! transitions and subnormals. These tests enforce that promise on the
-//! paths the running CPU offers (scalar always; AVX2/AVX-512 when
-//! available), sharing one `ParamBlock`/`PlanScratch` across flushes so
-//! stale lane contents from earlier, fuller flushes can never leak into
-//! later results.
+//! The lane-8 block replay ([`SolvePlan::evaluate_block_with_kinds`])
+//! promises results bitwise-identical to the per-point reference
+//! ([`SolvePlan::evaluate`]) at every occupancy, for any parameter values
+//! the per-point path accepts — including exact 0/1 transitions and
+//! subnormals. These tests enforce that promise, sharing one
+//! `ParamBlock`/`PlanScratch` across flushes so stale lane contents from
+//! earlier, fuller flushes can never leak into later results.
 
 use std::collections::BTreeMap;
 
-use archrel_markov::{Dtmc, DtmcBuilder, ParamBlock, PlanScratch, SimdPath, SolvePlan, LANE};
+use archrel_markov::{Dtmc, DtmcBuilder, ParamBlock, PlanScratch, SolvePlan, LANE};
 use proptest::prelude::*;
-
-/// Every replay path the running CPU can execute. Scalar is always present,
-/// so CI runners without AVX-512 (or AVX2) still exercise the suite.
-fn available_paths() -> Vec<SimdPath> {
-    [SimdPath::Scalar, SimdPath::Avx2, SimdPath::Avx512]
-        .into_iter()
-        .filter(|p| p.is_available())
-        .collect()
-}
 
 /// Deterministic forward ("flow-shaped") absorbing chain over transient
 /// states `0..n` plus `End = n` and `Fail = n + 1`. State `i` spreads its
@@ -71,7 +60,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Core differential property: on random acyclic structures and random
-    /// parameter points, every available path reproduces the scalar bits at
+    /// parameter points, the block replay reproduces the scalar bits at
     /// every occupancy `1..=LANE`, with every lane answered by the tape.
     #[test]
     fn every_path_matches_scalar_bitwise_at_every_occupancy(
@@ -99,27 +88,24 @@ proptest! {
         // stale-lane leak shows up as a bitwise mismatch.
         let mut block = ParamBlock::for_plan(&plan);
         let mut scratch = PlanScratch::new();
-        for path in available_paths() {
-            for occupancy in 1..=LANE {
-                block.clear();
-                for p in points.iter().take(occupancy) {
-                    block.push(p).unwrap();
-                }
-                let (values, kinds) = plan
-                    .evaluate_block_with_path(&block, &mut scratch, path)
-                    .unwrap();
-                prop_assert_eq!(kinds.tape, occupancy as u64);
-                prop_assert_eq!(values.len(), occupancy);
-                for (lane, &got) in values.iter().enumerate() {
-                    prop_assert_eq!(
-                        got.to_bits(),
-                        reference[lane].to_bits(),
-                        "path {:?}, occupancy {}, lane {}",
-                        path,
-                        occupancy,
-                        lane
-                    );
-                }
+        for occupancy in 1..=LANE {
+            block.clear();
+            for p in points.iter().take(occupancy) {
+                block.push(p).unwrap();
+            }
+            let (values, kinds) = plan
+                .evaluate_block_with_kinds(&block, &mut scratch)
+                .unwrap();
+            prop_assert_eq!(kinds.tape, occupancy as u64);
+            prop_assert_eq!(values.len(), occupancy);
+            for (lane, &got) in values.iter().enumerate() {
+                prop_assert_eq!(
+                    got.to_bits(),
+                    reference[lane].to_bits(),
+                    "occupancy {}, lane {}",
+                    occupancy,
+                    lane
+                );
             }
         }
     }
@@ -149,40 +135,38 @@ fn stale_lanes_from_previous_flushes_never_leak() {
             .collect()
     };
     let schedule = [LANE, 3, 1, 5, 2, LANE, 4];
-    for path in available_paths() {
-        let mut block = ParamBlock::for_plan(&plan);
-        let mut scratch = PlanScratch::new();
-        let mut next = 0usize;
-        for (flush, &occupancy) in schedule.iter().enumerate() {
-            let points: Vec<Vec<f64>> = (0..occupancy)
-                .map(|_| {
-                    next += 1;
-                    point(next)
-                })
-                .collect();
-            block.clear();
-            for p in &points {
-                block.push(p).unwrap();
-            }
-            let (values, kinds) = plan
-                .evaluate_block_with_path(&block, &mut scratch, path)
-                .unwrap();
-            assert_eq!(kinds.tape, occupancy as u64);
-            for (lane, p) in points.iter().enumerate() {
-                let scalar = plan.evaluate(p).unwrap();
-                assert_eq!(
-                    values[lane].to_bits(),
-                    scalar.to_bits(),
-                    "path {path:?}, flush {flush}, occupancy {occupancy}, lane {lane}"
-                );
-            }
+    let mut block = ParamBlock::for_plan(&plan);
+    let mut scratch = PlanScratch::new();
+    let mut next = 0usize;
+    for (flush, &occupancy) in schedule.iter().enumerate() {
+        let points: Vec<Vec<f64>> = (0..occupancy)
+            .map(|_| {
+                next += 1;
+                point(next)
+            })
+            .collect();
+        block.clear();
+        for p in &points {
+            block.push(p).unwrap();
+        }
+        let (values, kinds) = plan
+            .evaluate_block_with_kinds(&block, &mut scratch)
+            .unwrap();
+        assert_eq!(kinds.tape, occupancy as u64);
+        for (lane, p) in points.iter().enumerate() {
+            let scalar = plan.evaluate(p).unwrap();
+            assert_eq!(
+                values[lane].to_bits(),
+                scalar.to_bits(),
+                "flush {flush}, occupancy {occupancy}, lane {lane}"
+            );
         }
     }
 }
 
 /// Degenerate exactly-0 and exactly-1 transition probabilities: the tape
-/// multiplies and adds them verbatim (no epsilon clamping), so every path
-/// must agree with scalar down to the bits — including lanes whose answer
+/// multiplies and adds them verbatim (no epsilon clamping), so the block
+/// replay must agree with scalar down to the bits — including lanes whose answer
 /// collapses to exactly 0.0 or 1.0.
 #[test]
 fn degenerate_zero_one_transitions_match_scalar_bitwise() {
@@ -198,25 +182,24 @@ fn degenerate_zero_one_transitions_match_scalar_bitwise() {
         })
         .collect();
     let reference: Vec<f64> = points.iter().map(|p| plan.evaluate(p).unwrap()).collect();
-    for path in available_paths() {
-        let mut block = ParamBlock::for_plan(&plan);
-        let mut scratch = PlanScratch::new();
-        for p in &points {
-            block.push(p).unwrap();
-        }
-        let (got, kinds) = plan
-            .evaluate_block_with_path(&block, &mut scratch, path)
-            .unwrap();
-        assert_eq!(kinds.tape, LANE as u64);
-        for (lane, (&g, &want)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(g.to_bits(), want.to_bits(), "path {path:?}, lane {lane}");
-        }
+    let mut block = ParamBlock::for_plan(&plan);
+    let mut scratch = PlanScratch::new();
+    for p in &points {
+        block.push(p).unwrap();
+    }
+    let (got, kinds) = plan
+        .evaluate_block_with_kinds(&block, &mut scratch)
+        .unwrap();
+    assert_eq!(kinds.tape, LANE as u64);
+    for (lane, (&g, &want)) in got.iter().zip(&reference).enumerate() {
+        assert_eq!(g.to_bits(), want.to_bits(), "lane {lane}");
     }
 }
 
 /// Subnormal parameters: products and sums of subnormals must round
-/// identically on every path (IEEE multiply/add/divide, no FMA contraction,
-/// no flush-to-zero), so even answers that underflow agree bitwise.
+/// identically in the block replay (IEEE multiply/add/divide, no FMA
+/// contraction, no flush-to-zero), so even answers that underflow agree
+/// bitwise.
 #[test]
 fn subnormal_parameters_match_scalar_bitwise() {
     // Includes a self-loop row so the division path sees subnormal inputs
@@ -243,25 +226,23 @@ fn subnormal_parameters_match_scalar_bitwise() {
         })
         .collect();
     let reference: Vec<f64> = points.iter().map(|p| plan.evaluate(p).unwrap()).collect();
-    for path in available_paths() {
-        let mut block = ParamBlock::for_plan(&plan);
-        let mut scratch = PlanScratch::new();
-        for p in &points {
-            block.push(p).unwrap();
-        }
-        let (got, kinds) = plan
-            .evaluate_block_with_path(&block, &mut scratch, path)
-            .unwrap();
-        assert_eq!(kinds.tape, LANE as u64);
-        for (lane, (&g, &want)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(g.to_bits(), want.to_bits(), "path {path:?}, lane {lane}");
-        }
+    let mut block = ParamBlock::for_plan(&plan);
+    let mut scratch = PlanScratch::new();
+    for p in &points {
+        block.push(p).unwrap();
+    }
+    let (got, kinds) = plan
+        .evaluate_block_with_kinds(&block, &mut scratch)
+        .unwrap();
+    assert_eq!(kinds.tape, LANE as u64);
+    for (lane, (&g, &want)) in got.iter().zip(&reference).enumerate() {
+        assert_eq!(g.to_bits(), want.to_bits(), "lane {lane}");
     }
 }
 
 /// A self-loop probability of exactly 1.0 makes the tape's denominator
 /// `1 - self` collapse to zero: the scalar path reports trapped mass, and
-/// every vector path must report the same error for a block containing such
+/// the block replay must report the same error for a block containing such
 /// a lane instead of dividing by zero into an Inf/NaN answer.
 #[test]
 fn trapped_self_loop_errors_agree_across_paths() {
@@ -289,16 +270,14 @@ fn trapped_self_loop_errors_agree_across_paths() {
     assert_eq!(self_slots.len(), 1, "exactly one self-loop slot");
     let mut bad = base.clone();
     bad[self_slots[0]] = 1.0;
-    for path in available_paths() {
-        let mut block = ParamBlock::for_plan(&plan);
-        let mut scratch = PlanScratch::new();
-        block.push(&base).unwrap();
-        block.push(&bad).unwrap();
-        block.push(&base).unwrap();
-        assert!(
-            plan.evaluate_block_with_path(&block, &mut scratch, path)
-                .is_err(),
-            "path {path:?} must refuse the trapped lane like scalar does"
-        );
-    }
+    let mut block = ParamBlock::for_plan(&plan);
+    let mut scratch = PlanScratch::new();
+    block.push(&base).unwrap();
+    block.push(&bad).unwrap();
+    block.push(&base).unwrap();
+    assert!(
+        plan.evaluate_block_with_kinds(&block, &mut scratch)
+            .is_err(),
+        "the block replay must refuse the trapped lane like scalar does"
+    );
 }
