@@ -10,36 +10,24 @@
 //! - `width`: depth fixed at 4, width 1 → 4 — wider layers add nodes but
 //!   also more sharing for the per-service memo to exploit.
 //!
-//! Each measurement evaluates one parameter point through a pre-warmed
-//! evaluator (the program is compiled before timing starts), so the
-//! numbers isolate steady-state per-point cost, not compilation.
+//! Each measurement evaluates one parameter point over pre-warmed caches,
+//! each engine reached by the evaluator's sighting rule: `recursive`
+//! evaluates every point on a fresh evaluator (its first sighting) over
+//! shared, warmed plan and value caches; `program` compiles the program
+//! with a warm-up batch of two points before timing starts. The numbers
+//! isolate steady-state per-point cost, not compilation.
 //!
 //! The acceptance sweep with markdown + JSON records lives in
 //! `src/bin/exp_assembly_program.rs`.
 
+use std::sync::Arc;
+
 use archrel_bench::scenarios::shared_dag_assembly;
-use archrel_core::{EvalOptions, Evaluator, ProgramMode};
+use archrel_core::{EvalOptions, Evaluator, PlanCache, ValueCache};
 use archrel_expr::Bindings;
-use archrel_model::Assembly;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const LEAVES: usize = 2;
-
-fn evaluator(assembly: &Assembly, program: ProgramMode) -> Evaluator<'_> {
-    let evaluator = Evaluator::with_options(
-        assembly,
-        EvalOptions {
-            program,
-            ..EvalOptions::default()
-        },
-    );
-    // Warm once: compiles the program (On) and fills the solve caches, so
-    // the measured iterations see steady state on both paths.
-    evaluator
-        .failure_probability(&"app".into(), &Bindings::new().with("work", 1e5))
-        .expect("evaluation succeeds");
-    evaluator
-}
 
 fn bench_axis(
     c: &mut Criterion,
@@ -51,30 +39,50 @@ fn bench_axis(
     group.sample_size(10);
     for (depth, width) in cases {
         let assembly = shared_dag_assembly(depth, width, LEAVES).expect("scenario builds");
-        for (label, mode) in [
-            ("recursive", ProgramMode::Off),
-            ("program", ProgramMode::On),
-        ] {
-            let evaluator = evaluator(&assembly, mode);
-            group.bench_with_input(
-                BenchmarkId::new(label, parameter(depth, width)),
-                &evaluator,
-                |b, evaluator| {
-                    let mut point = 0u64;
-                    b.iter(|| {
-                        // A fresh `work` per iteration defeats the
-                        // top-level (service, env) cache; the sub-service
-                        // memo still works within the point.
-                        point += 1;
-                        let env = Bindings::new().with("work", 1e5 + point as f64);
-                        evaluator
-                            .failure_probability(&"app".into(), &env)
-                            .expect("evaluation succeeds")
-                            .value()
-                    })
-                },
-            );
+        let app = "app".into();
+        let warm = Bindings::new().with("work", 1e5);
+        let plans = Arc::new(PlanCache::new());
+        let values = Arc::new(ValueCache::new());
+        let fresh = || {
+            Evaluator::with_plan_cache(&assembly, EvalOptions::default(), Arc::clone(&plans))
+                .with_value_cache(Arc::clone(&values))
+        };
+        // Warm both engines once: fills the solve caches, and the batch of
+        // two compiles the program.
+        fresh()
+            .failure_probability(&app, &warm)
+            .expect("evaluation succeeds");
+        let program = Evaluator::new(&assembly);
+        for p in program.failure_probabilities(&app, &[&warm, &warm]) {
+            p.expect("evaluation succeeds");
         }
+        // A fresh `work` per iteration defeats the top-level (service, env)
+        // cache; the sub-service memo still works within the point. The
+        // counter lives outside the timed closure, which the harness calls
+        // once per warm-up step, so warm-up points are fresh too and the
+        // batch size is calibrated on uncached evaluations.
+        let id = parameter(depth, width);
+        let mut point = 0u64;
+        let mut next_env = || {
+            point += 1;
+            Bindings::new().with("work", 1e5 + point as f64)
+        };
+        group.bench_function(BenchmarkId::new("recursive", id), |b| {
+            b.iter(|| {
+                fresh()
+                    .failure_probability(&app, &next_env())
+                    .expect("evaluation succeeds")
+                    .value()
+            })
+        });
+        group.bench_function(BenchmarkId::new("program", id), |b| {
+            b.iter(|| {
+                program
+                    .failure_probability(&app, &next_env())
+                    .expect("evaluation succeeds")
+                    .value()
+            })
+        });
     }
     group.finish();
 }

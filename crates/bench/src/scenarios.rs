@@ -976,50 +976,55 @@ mod tests {
 
     #[test]
     fn shared_dag_assembly_agrees_between_program_and_recursive_paths() {
-        use archrel_core::{EvalOptions, ProgramMode};
         let assembly = shared_dag_assembly(4, 3, 2).unwrap();
-        let eval_with = |program| {
-            Evaluator::with_options(
-                &assembly,
-                EvalOptions {
-                    program,
-                    ..EvalOptions::default()
-                },
-            )
-            .failure_probability(&"app".into(), &Bindings::new().with("work", 1e5))
+        let env = Bindings::new().with("work", 1e5);
+        // A fresh evaluator's first point walks the recursive path; a
+        // batch of two compiles the program before its first point.
+        let fresh = Evaluator::new(&assembly);
+        let recursive = fresh
+            .failure_probability(&"app".into(), &env)
             .unwrap()
-            .value()
-        };
-        let recursive = eval_with(ProgramMode::Off);
-        let program = eval_with(ProgramMode::On);
+            .value();
+        assert_eq!(fresh.cache_stats().programs_compiled, 0);
+        let batched = Evaluator::new(&assembly);
+        let program = batched
+            .failure_probabilities(&"app".into(), &[&env, &env])
+            .remove(0)
+            .unwrap()
+            .value();
+        assert_eq!(batched.cache_stats().programs_compiled, 1);
         assert!(recursive > 0.0 && recursive < 1.0);
         assert_eq!(recursive.to_bits(), program.to_bits());
     }
 
     #[test]
     fn recursive_mesh_assembly_agrees_between_program_and_recursive_paths() {
-        use archrel_core::{CycleMode, EvalOptions, ProgramMode};
+        use archrel_core::{CycleMode, EvalOptions};
         let assembly = recursive_mesh_assembly(4, 3, 2, 0.3).unwrap();
-        let eval_with = |program| {
-            let evaluator = Evaluator::with_options(
-                &assembly,
-                EvalOptions {
-                    program,
-                    cycle_mode: CycleMode::FixedPoint {
-                        max_iterations: 200,
-                        tolerance: 1e-10,
-                    },
-                    ..EvalOptions::default()
-                },
-            );
-            let p = evaluator
-                .failure_probability(&"app".into(), &Bindings::new().with("work", 1e5))
-                .unwrap()
-                .value();
-            (p, evaluator.cache_stats())
+        let options = EvalOptions {
+            cycle_mode: CycleMode::FixedPoint {
+                max_iterations: 200,
+                tolerance: 1e-10,
+            },
+            ..EvalOptions::default()
         };
-        let (recursive, _) = eval_with(ProgramMode::Off);
-        let (program, stats) = eval_with(ProgramMode::On);
+        let env = Bindings::new().with("work", 1e5);
+        // A fresh evaluator's first point walks the recursive path; a
+        // batch of two compiles the program before its first point.
+        let fresh = Evaluator::with_options(&assembly, options);
+        let recursive = fresh
+            .failure_probability(&"app".into(), &env)
+            .unwrap()
+            .value();
+        assert_eq!(fresh.cache_stats().programs_compiled, 0);
+        let batched = Evaluator::with_options(&assembly, options);
+        let program = batched
+            .failure_probabilities(&"app".into(), &[&env, &env])
+            .remove(0)
+            .unwrap()
+            .value();
+        let stats = batched.cache_stats();
+        assert_eq!(stats.programs_compiled, 1, "{stats:?}");
         assert!(recursive > 0.0 && recursive < 1.0);
         assert_eq!(recursive.to_bits(), program.to_bits());
         assert!(stats.fixed_point_sweeps >= 2, "{stats:?}");

@@ -7,7 +7,7 @@ use std::io::Write;
 use archrel_core::batch::{BatchEvaluator, Query};
 use archrel_core::PlanCache;
 use archrel_core::{
-    symbolic, CycleMode, EvalOptions, Evaluator, FixedPointMode, ProgramMode, SolverPolicy,
+    symbolic, CycleMode, EvalOptions, Evaluator, FixedPointMode, SolverPolicy,
     DEFAULT_FIXED_POINT_MAX_ITERATIONS, DEFAULT_FIXED_POINT_TOLERANCE,
 };
 use archrel_dsl::{dot, parse_assembly, print_assembly};
@@ -94,12 +94,6 @@ common options:
              environment variable when set; compiled builds each flow
              structure's evaluation plan once and replays it per solve --
              fastest for sweeps)
-  --assembly-program {auto,on,off}   compiled assembly programs: lower the
-             service DAG to a topologically scheduled register program with
-             per-service memoization, bitwise identical to the recursive
-             evaluator (default: auto -- compile a target after two
-             evaluations; or the ARCHREL_ASSEMBLY_PROGRAM environment
-             variable when set)
   --fixed-point {plain,aitken}   evaluate cyclic (mutually recursive)
              assemblies by global fixed-point iteration with the chosen
              scheme: plain successive substitution (the bitwise reference)
@@ -136,7 +130,6 @@ struct Options {
     target: Option<f64>,
     repeat: usize,
     solver: Option<SolverPolicy>,
-    program: Option<ProgramMode>,
     fixed_point: Option<FixedPointMode>,
     artifact_dir: Option<String>,
     artifact_mode: Option<ArtifactMode>,
@@ -146,18 +139,14 @@ struct Options {
 
 impl Options {
     /// Evaluator options for this invocation: the environment-aware defaults
-    /// with the `--solver` / `--assembly-program` / `--fixed-point` flags
-    /// (when given) taking precedence. `--fixed-point` both picks the
-    /// iteration scheme and opts cyclic assemblies into fixed-point
-    /// evaluation (at the library's default budget and tolerance) instead
-    /// of the recursion error.
+    /// with the `--solver` / `--fixed-point` flags (when given) taking
+    /// precedence. `--fixed-point` both picks the iteration scheme and opts
+    /// cyclic assemblies into fixed-point evaluation (at the library's
+    /// default budget and tolerance) instead of the recursion error.
     fn eval_options(&self) -> EvalOptions {
         let mut options = EvalOptions::default();
         if let Some(solver) = self.solver {
             options.solver = solver;
-        }
-        if let Some(program) = self.program {
-            options.program = program;
         }
         if let Some(fixed_point) = self.fixed_point {
             options.fixed_point = fixed_point;
@@ -213,7 +202,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         target: None,
         repeat: 1,
         solver: None,
-        program: None,
         fixed_point: None,
         artifact_dir: None,
         artifact_mode: None,
@@ -274,14 +262,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 opts.solver = Some(SolverPolicy::parse(&value).ok_or_else(|| {
                     CliError::new(format!(
                         "`--solver {value}`: expected auto, dense, sparse, or compiled"
-                    ))
-                })?);
-            }
-            "--assembly-program" => {
-                let value = next_value(args, &mut i, "--assembly-program")?;
-                opts.program = Some(ProgramMode::parse(&value).ok_or_else(|| {
-                    CliError::new(format!(
-                        "`--assembly-program {value}`: expected auto, on, or off"
                     ))
                 })?);
             }
@@ -384,19 +364,12 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     }
     // Pre-validate ARCHREL_SOLVER so a typo'd value surfaces as a normal
     // CLI error instead of the library's hard panic deep inside evaluation.
+    // An empty value means unset, as for every other ARCHREL_* variable.
     if let Ok(raw) = std::env::var("ARCHREL_SOLVER") {
-        if SolverPolicy::parse(&raw).is_none() {
+        if !raw.trim().is_empty() && SolverPolicy::parse(&raw).is_none() {
             return Err(CliError::new(format!(
                 "unrecognized ARCHREL_SOLVER value `{raw}`: \
                  expected one of auto, dense, sparse, compiled"
-            )));
-        }
-    }
-    if let Ok(raw) = std::env::var("ARCHREL_ASSEMBLY_PROGRAM") {
-        if !raw.trim().is_empty() && ProgramMode::parse(&raw).is_none() {
-            return Err(CliError::new(format!(
-                "unrecognized ARCHREL_ASSEMBLY_PROGRAM value `{raw}`: \
-                 expected one of auto, on, off"
             )));
         }
     }
@@ -1158,34 +1131,59 @@ mod tests {
         });
     }
 
+    /// Names the document the child half of
+    /// `empty_solver_env_means_the_default_policy` predicts on.
+    const EMPTY_SOLVER_CHILD_ENV: &str = "ARCHREL_TEST_EMPTY_SOLVER_DOCUMENT";
+
+    /// Child half of `empty_solver_env_means_the_default_policy`: predicts
+    /// on the named document and prints the answer. A no-op in ordinary
+    /// test runs (the variable is absent).
     #[test]
-    fn assembly_program_flag_selects_the_path_without_changing_the_answer() {
+    fn empty_solver_env_child_helper() {
+        let Ok(path) = std::env::var(EMPTY_SOLVER_CHILD_ENV) else {
+            return;
+        };
+        let out = run_capture(&["predict", &path, "--service", "app", "--bind", "work=1e6"])
+            .expect("an empty ARCHREL_SOLVER must not be an error");
+        print!("{out}");
+    }
+
+    /// CI matrices expand absent entries to empty strings, so an empty
+    /// `ARCHREL_SOLVER` must mean the default policy — in the CLI's
+    /// pre-validation and in `EvalOptions::default()` alike. The variable
+    /// is set only in a child process (this test binary re-run, filtered
+    /// to the helper above), so no other test sees it.
+    #[test]
+    fn empty_solver_env_means_the_default_policy() {
         with_document(|path| {
-            let sweep = |mode: &str| {
-                run_capture(&[
-                    "sweep",
-                    path,
-                    "--service",
-                    "app",
-                    "--param",
-                    "work",
-                    "--from",
-                    "1e3",
-                    "--to",
-                    "1e6",
-                    "--steps",
-                    "5",
-                    "--assembly-program",
-                    mode,
+            let want = run_capture(&[
+                "predict",
+                path,
+                "--service",
+                "app",
+                "--bind",
+                "work=1e6",
+                "--solver",
+                "auto",
+            ])
+            .unwrap();
+            let output = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "--exact",
+                    "cli::tests::empty_solver_env_child_helper",
+                    "--nocapture",
                 ])
-                .unwrap()
-            };
-            // The program path is bitwise identical to the recursive walk,
-            // so all three modes print identical tables.
-            let auto = sweep("auto");
-            assert_eq!(auto, sweep("on"));
-            assert_eq!(auto, sweep("off"));
-            assert_eq!(auto.lines().count(), 6, "{auto}");
+                .env("ARCHREL_SOLVER", "")
+                .env(EMPTY_SOLVER_CHILD_ENV, path)
+                .output()
+                .expect("spawn the child test");
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            assert!(
+                output.status.success(),
+                "child failed: {stdout}{}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            assert!(stdout.contains(&want), "{stdout} lacks {want}");
         });
     }
 
@@ -1250,11 +1248,33 @@ mod tests {
             // point, so it agrees numerically but not digit-for-digit.
             let aitken = predict(&["--fixed-point", "aitken"]);
             assert!((pfail(&plain) - pfail(&aitken)).abs() < 1e-10);
-            // The compiled engine replays the same sweeps bitwise.
-            assert_eq!(
-                plain,
-                predict(&["--fixed-point", "plain", "--assembly-program", "on"])
-            );
+            // A sweep over a parameter the model ignores: the first row
+            // walks the recursive path, the second runs the compiled program
+            // (the target's second sighting), and both print the same.
+            let sweep = run_capture(&[
+                "sweep",
+                path,
+                "--service",
+                "a",
+                "--fixed-point",
+                "plain",
+                "--param",
+                "unused",
+                "--from",
+                "1",
+                "--to",
+                "2",
+                "--steps",
+                "2",
+            ])
+            .unwrap();
+            let rows: Vec<Vec<&str>> = sweep
+                .lines()
+                .skip(1)
+                .map(|row| row.split_whitespace().skip(1).collect())
+                .collect();
+            assert_eq!(rows.len(), 2, "{sweep}");
+            assert_eq!(rows[0], rows[1], "{sweep}");
             // The per-state breakdown resolves against the converged
             // estimates instead of erroring.
             let report =
@@ -1269,22 +1289,6 @@ mod tests {
             let err = run_capture(&["predict", path, "--service", "a", "--fixed-point", "newton"])
                 .unwrap_err();
             assert!(err.to_string().contains("plain or aitken"), "{err}");
-        });
-    }
-
-    #[test]
-    fn assembly_program_flag_rejects_unknown_modes() {
-        with_document(|path| {
-            let err = run_capture(&[
-                "predict",
-                path,
-                "--service",
-                "app",
-                "--assembly-program",
-                "sometimes",
-            ])
-            .unwrap_err();
-            assert!(err.to_string().contains("auto, on, or off"), "{err}");
         });
     }
 

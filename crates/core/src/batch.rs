@@ -158,19 +158,19 @@ impl<'a> BatchEvaluator<'a> {
     /// results into its own disjoint slots, so the output order never
     /// depends on scheduling. Within its stripe each worker groups queries
     /// by target service and answers every group through
-    /// [`Evaluator::failure_probabilities_block`], so points sharing a
-    /// compiled structure are solved in lane-sized blocks by one tape
-    /// replay. Block and scalar results are bitwise-identical on compiled
-    /// acyclic structures, so the grouping is invisible in the output.
-    /// Failures are per-query: one malformed query yields an `Err` in its
-    /// slot without poisoning the rest.
+    /// [`Evaluator::failure_probabilities`], so a group of two or more
+    /// points compiles the target's assembly program before its first
+    /// point. Program and recursive results are bitwise-identical, so the
+    /// grouping is invisible in the output. Failures are per-query: one
+    /// malformed query yields an `Err` in its slot without poisoning the
+    /// rest.
     pub fn evaluate_all(&self, queries: &[Query]) -> Vec<Result<Probability>> {
-        self.blocked_sweep(queries, false)
+        self.grouped_sweep(queries, false)
     }
 
     /// Like [`BatchEvaluator::evaluate_all`], returning reliabilities.
     pub fn reliabilities(&self, queries: &[Query]) -> Vec<Result<Probability>> {
-        self.blocked_sweep(queries, true)
+        self.grouped_sweep(queries, true)
     }
 
     /// Evaluates every query and also reports the sweep's cache activity.
@@ -218,169 +218,118 @@ impl<'a> BatchEvaluator<'a> {
         (results, summary)
     }
 
-    /// Striped, service-grouped sweep over the blocked evaluation path.
-    fn blocked_sweep(&self, queries: &[Query], complement: bool) -> Vec<Result<Probability>> {
-        let workers = self.workers.max(1).min(queries.len().max(1));
-        let evaluator = &self.evaluator;
-        let run_stripe = |indices: Vec<usize>| -> Vec<(usize, Result<Probability>)> {
+    /// Striped, service-grouped sweep: every worker answers its stripe's
+    /// queries for one service through one batch call.
+    fn grouped_sweep(&self, queries: &[Query], complement: bool) -> Vec<Result<Probability>> {
+        striped(queries.len(), self.workers, |stripe| {
             // Group the stripe's queries by service, preserving stripe
-            // order within each group; every group becomes one blocked
-            // evaluation call.
+            // order within each group; every group becomes one batch call.
             let mut groups: Vec<(&ServiceId, Vec<usize>)> = Vec::new();
-            for &i in &indices {
+            for (pos, &i) in stripe.iter().enumerate() {
                 let service = &queries[i].service;
                 match groups.iter_mut().find(|(s, _)| *s == service) {
-                    Some((_, group)) => group.push(i),
-                    None => groups.push((service, vec![i])),
+                    Some((_, group)) => group.push(pos),
+                    None => groups.push((service, vec![pos])),
                 }
             }
-            let mut out = Vec::with_capacity(indices.len());
+            let mut out: Vec<Option<Result<Probability>>> = Vec::new();
+            out.resize_with(stripe.len(), || None);
             for (service, group) in groups {
-                let envs: Vec<&Bindings> = group.iter().map(|&i| &queries[i].env).collect();
-                let results = evaluator.failure_probabilities_block(service, &envs);
-                for (&i, r) in group.iter().zip(results) {
-                    let r = if complement {
+                let envs: Vec<&Bindings> =
+                    group.iter().map(|&pos| &queries[stripe[pos]].env).collect();
+                for (&pos, r) in group
+                    .iter()
+                    .zip(self.evaluator.failure_probabilities(service, &envs))
+                {
+                    out[pos] = Some(if complement {
                         r.map(|p| p.complement())
                     } else {
                         r
-                    };
-                    out.push((i, r));
+                    });
                 }
             }
-            out
-        };
-
-        let mut results: Vec<Option<Result<Probability>>> = Vec::with_capacity(queries.len());
-        results.resize_with(queries.len(), || None);
-        if workers == 1 {
-            for (i, r) in run_stripe((0..queries.len()).collect()) {
-                results[i] = Some(r);
-            }
-        } else {
-            let run_stripe = &run_stripe;
-            let collected: Vec<Vec<(usize, Result<Probability>)>> =
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let stripe: Vec<usize> = (w..queries.len()).step_by(workers).collect();
-                            scope.spawn(move |_| run_stripe(stripe))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("batch worker panicked"))
-                        .collect()
-                })
-                .expect("batch worker panicked");
-            for pairs in collected {
-                for (i, r) in pairs {
-                    results[i] = Some(r);
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every query answered"))
-            .collect()
+            out.into_iter()
+                .map(|r| r.expect("every query answered"))
+                .collect()
+        })
     }
 }
 
 /// Answers `Pfail` for many parameter points of one service, striping the
-/// points across up to `workers` threads; every stripe runs through
-/// [`Evaluator::failure_probabilities_block`]. Output is in input order and
-/// bitwise-independent of the worker count (block ≡ scalar per lane).
-pub(crate) fn blocked_probabilities(
+/// points across up to `workers` threads; every stripe is one
+/// [`Evaluator::failure_probabilities`] call. Output is in input order and
+/// bitwise-independent of the worker count.
+pub(crate) fn striped_probabilities(
     evaluator: &Evaluator<'_>,
     service: &ServiceId,
     envs: &[&Bindings],
     workers: usize,
 ) -> Vec<Result<Probability>> {
-    let workers = workers.max(1).min(envs.len().max(1));
-    if workers == 1 {
-        return evaluator.failure_probabilities_block(service, envs);
-    }
-    let mut results: Vec<Option<Result<Probability>>> = Vec::with_capacity(envs.len());
-    results.resize_with(envs.len(), || None);
-    let run_stripe = |stripe: Vec<usize>| -> Vec<(usize, Result<Probability>)> {
+    striped(envs.len(), workers, |stripe| {
         let stripe_envs: Vec<&Bindings> = stripe.iter().map(|&i| envs[i]).collect();
-        stripe
-            .iter()
-            .copied()
-            .zip(evaluator.failure_probabilities_block(service, &stripe_envs))
-            .collect()
-    };
+        evaluator.failure_probabilities(service, &stripe_envs)
+    })
+}
+
+/// Splits the indices `0..n` into up to `workers` stripes (worker `w`
+/// takes `w`, `w + workers`, ...), runs `run_stripe` on each stripe on its
+/// own scoped thread, and returns the outputs **in index order**.
+///
+/// `run_stripe` returns one output per stripe index, in stripe order. For
+/// sweep-shaped inputs, neighbouring items usually share sub-solves, so
+/// striping spreads the cache-warming misses across workers instead of
+/// letting one worker take all of them; each stripe fills a disjoint set
+/// of output slots, which makes the order deterministic by construction.
+pub(crate) fn striped<U, F>(n: usize, workers: usize, run_stripe: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(&[usize]) -> Vec<U> + Sync,
+{
+    let workers = workers.max(1).min(n.max(1));
+    if workers == 1 {
+        let all: Vec<usize> = (0..n).collect();
+        return run_stripe(&all);
+    }
+    let stripes: Vec<Vec<usize>> = (0..workers)
+        .map(|w| (w..n).step_by(workers).collect())
+        .collect();
     let run_stripe = &run_stripe;
-    let collected: Vec<Vec<(usize, Result<Probability>)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let stripe: Vec<usize> = (w..envs.len()).step_by(workers).collect();
-                scope.spawn(move |_| run_stripe(stripe))
-            })
+    let outputs: Vec<Vec<U>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = stripes
+            .iter()
+            .map(|stripe| scope.spawn(move |_| run_stripe(stripe)))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("blocked worker panicked"))
+            .map(|h| h.join().expect("stripe worker panicked"))
             .collect()
     })
-    .expect("blocked worker panicked");
-    for pairs in collected {
-        for (i, r) in pairs {
-            results[i] = Some(r);
+    .expect("stripe worker panicked");
+    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    for (stripe, output) in stripes.iter().zip(outputs) {
+        assert_eq!(stripe.len(), output.len(), "one output per stripe index");
+        for (&i, u) in stripe.iter().zip(output) {
+            slots[i] = Some(u);
         }
     }
-    results
+    slots
         .into_iter()
-        .map(|r| r.expect("every point answered"))
+        .map(|u| u.expect("every index is in exactly one stripe"))
         .collect()
 }
 
 /// Runs `f` over `items` on up to `workers` scoped threads, returning the
-/// outputs **in input order**.
-///
-/// Items are striped (worker `w` takes items `w`, `w + workers`, ...): for
-/// sweep-shaped inputs, neighbouring items usually share sub-solves, so
-/// striping spreads the cache-warming misses across workers instead of
-/// letting one worker take all of them. Each worker owns a disjoint set of
-/// output slots, which makes the order deterministic by construction.
-///
-/// `f` receives the item's input index alongside the item.
+/// outputs **in input order** (see [`striped`]). `f` receives the item's
+/// input index alongside the item.
 pub(crate) fn parallel_map_indexed<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers == 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let mut results: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let slots: Vec<&mut Option<U>> = results.iter_mut().collect();
-
-    // Give each worker every `workers`-th slot, preserving the slot's index.
-    let mut per_worker: Vec<Vec<(usize, &mut Option<U>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (i, slot) in slots.into_iter().enumerate() {
-        per_worker[i % workers].push((i, slot));
-    }
-
-    let f = &f;
-    crossbeam::thread::scope(|scope| {
-        for stripe in per_worker {
-            scope.spawn(move |_| {
-                for (i, slot) in stripe {
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
+    striped(items.len(), workers, |stripe| {
+        stripe.iter().map(|&i| f(i, &items[i])).collect()
     })
-    .expect("batch worker panicked");
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot was written by exactly one worker"))
-        .collect()
 }
 
 #[cfg(test)]

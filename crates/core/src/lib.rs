@@ -77,8 +77,8 @@ pub use batch::{BatchEvaluator, BatchSummary, Query};
 pub use cancel::CancelToken;
 pub use error::CoreError;
 pub use eval::{
-    CacheStats, CycleMode, EvalOptions, Evaluator, FixedPointMode, PlanCache, ProgramMode,
-    SolverPolicy, ValueCache, AUTO_PROGRAM_MIN_SEEN, DEFAULT_FIXED_POINT_MAX_ITERATIONS,
+    CacheStats, CycleMode, EvalOptions, Evaluator, FixedPointMode, PlanCache, SolverPolicy,
+    ValueCache, AUTO_PROGRAM_MIN_SEEN, DEFAULT_FIXED_POINT_MAX_ITERATIONS,
     DEFAULT_FIXED_POINT_TOLERANCE, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use failprob::{state_failure_probability, RequestFailure};

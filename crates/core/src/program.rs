@@ -320,8 +320,9 @@ struct FpSweep<'s> {
 /// A compiled evaluation program for one `(assembly, target service)` pair.
 ///
 /// Built by [`AssemblyProgram::compile`] (or automatically by
-/// [`Evaluator`] under [`crate::ProgramMode::Auto`]); evaluated through
-/// [`Evaluator::failure_probability`] once installed. See the module
+/// [`Evaluator`] once a target is seen [`crate::AUTO_PROGRAM_MIN_SEEN`]
+/// times); evaluated through [`Evaluator::failure_probability`] once
+/// installed. See the module
 /// documentation for the compilation pipeline and cache semantics.
 pub struct AssemblyProgram<'a> {
     target: ServiceId,

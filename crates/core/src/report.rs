@@ -42,11 +42,10 @@ impl fmt::Display for CacheStats {
                 self.block_points as f64 / self.block_flushes as f64
             )?;
         }
-        if self.extract_nanos + self.stage_nanos + self.replay_nanos > 0 {
+        if self.stage_nanos + self.replay_nanos > 0 {
             write!(
                 f,
-                "; phases: extract {:.3} ms / stage {:.3} ms / replay {:.3} ms",
-                self.extract_nanos as f64 * 1e-6,
+                "; phases: stage {:.3} ms / replay {:.3} ms",
                 self.stage_nanos as f64 * 1e-6,
                 self.replay_nanos as f64 * 1e-6
             )?;
@@ -400,7 +399,7 @@ mod tests {
 
     #[test]
     fn cache_stats_render_fixed_point_counters_after_a_cyclic_run() {
-        use crate::{CycleMode, EvalOptions, ProgramMode};
+        use crate::{CycleMode, EvalOptions};
         use archrel_expr::Expr;
         use archrel_model::{
             catalog, AssemblyBuilder, CompositeService, FlowBuilder, FlowState, Service,
@@ -432,13 +431,16 @@ mod tests {
                     max_iterations: 100,
                     tolerance: 1e-12,
                 },
-                program: ProgramMode::On,
                 ..EvalOptions::default()
             },
         );
-        eval.failure_probability(&"svc".into(), &Bindings::new())
-            .unwrap();
+        // A batch of two compiles the program before its first point.
+        let env = Bindings::new();
+        for r in eval.failure_probabilities(&"svc".into(), &[&env, &env]) {
+            r.unwrap();
+        }
         let stats = eval.cache_stats();
+        assert_eq!(stats.programs_compiled, 1, "{stats:?}");
         assert!(stats.fixed_point_sweeps >= 2, "{stats:?}");
         assert!(stats.program_loop_sccs >= 1, "{stats:?}");
         assert!(stats.scc_iterations >= 2, "{stats:?}");

@@ -14,7 +14,7 @@ use std::time::Instant;
 use archrel_expr::Bindings;
 use archrel_model::{Assembly, AssemblyBuilder, Probability, Service, ServiceId, SimpleService};
 
-use crate::batch::parallel_map_indexed;
+use crate::batch::{parallel_map_indexed, striped};
 use crate::eval::FlowBlockAccumulator;
 use crate::sensitivity::default_workers;
 use crate::staged::{StagedSweep, Staging};
@@ -320,7 +320,7 @@ fn staged_results(
             .collect(),
         failure_probability,
     };
-    let run_stripe = |stripe: Vec<usize>| -> Vec<(usize, Result<Option<SelectionResult>>)> {
+    striped(all_choices.len(), workers, |stripe| {
         let mut acc = FlowBlockAccumulator::new(Arc::clone(plans));
         let mut success = vec![f64::NAN; stripe.len()];
         let mut results: Vec<Option<Result<Option<SelectionResult>>>> =
@@ -374,47 +374,11 @@ fn staged_results(
                     .map(|p| Some(result_for(&all_choices[stripe[pos]], p.complement()))),
             );
         }
-        stripe
+        results
             .into_iter()
-            .zip(results)
-            .map(|(i, r)| (i, r.expect("every combination resolved")))
+            .map(|r| r.expect("every combination resolved"))
             .collect()
-    };
-
-    let workers = workers.max(1).min(all_choices.len().max(1));
-    let mut results: Vec<Option<Result<Option<SelectionResult>>>> =
-        Vec::with_capacity(all_choices.len());
-    results.resize_with(all_choices.len(), || None);
-    if workers == 1 {
-        for (i, r) in run_stripe((0..all_choices.len()).collect()) {
-            results[i] = Some(r);
-        }
-    } else {
-        let run_stripe = &run_stripe;
-        let collected: Vec<Vec<(usize, Result<Option<SelectionResult>>)>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let stripe: Vec<usize> = (w..all_choices.len()).step_by(workers).collect();
-                        scope.spawn(move |_| run_stripe(stripe))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("selection worker panicked"))
-                    .collect()
-            })
-            .expect("selection worker panicked");
-        for stripe in collected {
-            for (i, r) in stripe {
-                results[i] = Some(r);
-            }
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every combination resolved"))
-        .collect()
+    })
 }
 
 fn evaluate_combination(

@@ -17,7 +17,7 @@ use std::time::Instant;
 use archrel_expr::Bindings;
 use archrel_model::{Assembly, Probability, ServiceId};
 
-use crate::batch::blocked_probabilities;
+use crate::batch::{striped, striped_probabilities};
 use crate::eval::FlowBlockAccumulator;
 use crate::staged::{StagedSweep, Staging};
 use crate::{symbolic, CoreError, Evaluator, Result};
@@ -133,12 +133,11 @@ pub fn binding_sensitivities_with_workers(
         })
         .collect();
 
-    // All stencil points target one service: the blocked path packs them
-    // into lane-sized parameter blocks per compiled structure, so a whole
-    // stencil's probes are replayed by a handful of tape passes. The probes
-    // only move the stencil's own parameters, so declare them varied:
-    // services fed purely by constants pin outside the dirty cone when the
-    // assembly-program path answers.
+    // All stencil points target one service, so each worker's probes are
+    // one batch call that compiles the target's assembly program. The
+    // probes only move the stencil's own parameters, so declare them
+    // varied: services fed purely by constants pin outside the dirty cone
+    // when the assembly-program path answers.
     let varied: Vec<String> = env.iter().map(|(name, _)| name.to_string()).collect();
     evaluator.declare_varied(service, &varied);
     let flat: Vec<&Bindings> = probes.iter().flat_map(|p| p.envs.iter()).collect();
@@ -147,9 +146,9 @@ pub fn binding_sensitivities_with_workers(
     let names: Vec<&str> = probes.iter().flat_map(|p| [p.name.as_str(); 3]).collect();
     // Staged fast path: when the target compiles to a staged sweep, every
     // probe's parameter row is generated directly from the stencil env —
-    // no per-probe state resolution, chain build, or extraction. A sweep
-    // that declines (or a compile error) routes through the generic
-    // blocked path unchanged.
+    // no per-probe state resolution or chain build — and replayed through
+    // lane-blocked tapes. A sweep that declines (or a compile error)
+    // routes through the generic batch path unchanged.
     let staged = StagedSweep::compile(
         evaluator.assembly(),
         service,
@@ -160,7 +159,7 @@ pub fn binding_sensitivities_with_workers(
     .unwrap_or(None);
     let values = match &staged {
         Some(sweep) => staged_probes(sweep, evaluator, service, env, &names, &flat, workers),
-        None => blocked_probabilities(evaluator, service, &flat, workers),
+        None => striped_probabilities(evaluator, service, &flat, workers),
     };
     let mut values = values.into_iter().map(|r| r.map(|p| p.value()));
     let mut out = Vec::with_capacity(probes.len());
@@ -205,11 +204,11 @@ pub(crate) fn default_workers() -> usize {
 }
 
 /// Evaluate every probe env through a staged sweep: each row is generated
-/// straight from the stencil env — no per-probe state resolution, chain
-/// build, or extraction — then replayed through lane-blocked tapes. The
-/// stencil contract (each probe moves exactly one binding, `names[i]`)
-/// lets the sweep stage the center once and restage only each probe's
-/// dependency cone — bitwise what full staging computes. Probes whose
+/// straight from the stencil env — no per-probe state resolution or chain
+/// build — then replayed through lane-blocked tapes. The stencil contract
+/// (each probe moves exactly one binding, `names[i]`) lets the sweep stage
+/// the center once and restage only each probe's dependency cone —
+/// bitwise what full staging computes. Probes whose
 /// values change the flow structure fall back to the generic evaluator,
 /// which is bitwise-identical on compiled structures.
 fn staged_probes(
@@ -232,7 +231,7 @@ fn staged_probes(
             .unwrap_or(None)
     };
     let center = center.as_ref();
-    let run_stripe = |stripe: Vec<usize>| -> Vec<(usize, Result<Probability>)> {
+    striped(envs.len(), workers, |stripe| {
         let mut acc = FlowBlockAccumulator::new(Arc::clone(plans));
         let mut success = vec![f64::NAN; stripe.len()];
         let mut results: Vec<Option<Result<Probability>>> = Vec::with_capacity(stripe.len());
@@ -281,45 +280,11 @@ fn staged_probes(
                     .map_err(CoreError::from),
             );
         }
-        stripe
+        results
             .into_iter()
-            .zip(results)
-            .map(|(i, r)| (i, r.expect("every probe resolved")))
+            .map(|r| r.expect("every probe resolved"))
             .collect()
-    };
-
-    let workers = workers.max(1).min(envs.len().max(1));
-    let mut results: Vec<Option<Result<Probability>>> = Vec::with_capacity(envs.len());
-    results.resize_with(envs.len(), || None);
-    if workers == 1 {
-        for (i, r) in run_stripe((0..envs.len()).collect()) {
-            results[i] = Some(r);
-        }
-    } else {
-        let run_stripe = &run_stripe;
-        let collected: Vec<Vec<(usize, Result<Probability>)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let stripe: Vec<usize> = (w..envs.len()).step_by(workers).collect();
-                    scope.spawn(move |_| run_stripe(stripe))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sensitivity worker panicked"))
-                .collect()
-        })
-        .expect("sensitivity worker panicked");
-        for stripe in collected {
-            for (i, r) in stripe {
-                results[i] = Some(r);
-            }
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every probe resolved"))
-        .collect()
+    })
 }
 
 /// **Exact** sensitivities of `Pfail(service, ·)` with respect to every
@@ -592,7 +557,7 @@ mod tests {
     }
 
     /// The staged probe sweep must be **bitwise** identical to the generic
-    /// blocked path under the same compiled-plan policy — same stencil,
+    /// batch path under the same compiled-plan policy — same stencil,
     /// same probabilities, at every worker count.
     #[test]
     fn staged_probes_match_blocked_path_bitwise() {
@@ -617,7 +582,7 @@ mod tests {
         let flat: Vec<&Bindings> = flat_owned.iter().map(|(_, p)| p).collect();
         let reference = {
             let eval = Evaluator::with_options(&assembly, options);
-            blocked_probabilities(&eval, &service, &flat, 1)
+            striped_probabilities(&eval, &service, &flat, 1)
         };
         for workers in [1usize, 3] {
             let eval = Evaluator::with_options(&assembly, options);

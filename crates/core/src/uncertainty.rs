@@ -24,7 +24,8 @@ use archrel_model::{Assembly, Probability, ServiceId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::eval::{BlockedOutcome, FlowBlockAccumulator};
+use crate::batch::striped;
+use crate::eval::FlowBlockAccumulator;
 use crate::improvement::{apply_lever, Lever};
 use crate::sensitivity::default_workers;
 use crate::staged::{StagedSweep, Staging};
@@ -249,10 +250,9 @@ pub fn propagate_with_options(
 
 /// [`propagate_with_options`] against a caller-supplied [`PlanCache`]: the
 /// sweep's compiled plans, blocked-replay tallies, and per-phase
-/// nanosecond counters (extract / stage / replay — see
-/// [`crate::CacheStats`]) accumulate in `plans`, so callers can share
-/// compilation work across sweeps and read the phase split afterwards via
-/// [`PlanCache::stats`].
+/// nanosecond counters (stage / replay — see [`crate::CacheStats`])
+/// accumulate in `plans`, so callers can share compilation work across
+/// sweeps and read the phase split afterwards via [`PlanCache::stats`].
 ///
 /// # Errors
 ///
@@ -295,8 +295,8 @@ pub fn propagate_with_plan_cache(
     // Try to stage the whole sweep (see `StagedSweep::compile` for which
     // policies and flows stage): samples then generate directly into plan
     // parameter rows — no per-sample assembly rebuild, no `Bindings`, no
-    // chain, no extraction — and only structure-changing samples fall back
-    // to the generic path below.
+    // chain — and only structure-changing samples fall back to a fresh
+    // evaluator over the perturbed assembly.
     let staged = match StagedSweep::compile(assembly, service, env, plans, options)? {
         Some(sweep) => {
             let levers = sweep.prepare_levers(assembly, quantities.iter().map(|q| &q.lever))?;
@@ -304,88 +304,68 @@ pub fn propagate_with_plan_cache(
         }
         None => None,
     };
-    // Each worker owns one block accumulator: sample evaluators are
-    // short-lived (one per perturbed assembly), but the accumulator holds
-    // parameter copies and `Arc`s into the shared plan cache, so samples
-    // sharing a flow structure batch into lane-sized tape replays even
-    // across evaluator lifetimes. Block ≡ scalar bitwise on compiled
-    // acyclic structures, so the summary stays worker-count independent.
-    let run_stripe = |stripe: Vec<usize>| -> Result<Vec<(usize, f64)>> {
+    // Each worker owns one block accumulator for its staged rows, so
+    // samples batch into lane-sized tape replays. Block ≡ scalar bitwise on
+    // compiled acyclic structures, so the summary stays worker-count
+    // independent.
+    let results = striped(samples, workers, |stripe| {
         let mut acc = FlowBlockAccumulator::new(Arc::clone(plans));
         let mut success = vec![f64::NAN; stripe.len()];
-        let mut values: Vec<Option<f64>> = vec![None; stripe.len()];
+        let mut values: Vec<Option<Result<f64>>> = Vec::with_capacity(stripe.len());
+        values.resize_with(stripe.len(), || None);
         let mut deferred: Vec<usize> = Vec::new();
         let mut scratch = staged.as_ref().map(|(sweep, _)| sweep.new_scratch());
         let mut stage_nanos = 0u64;
         for (pos, &i) in stripe.iter().enumerate() {
             if let (Some((sweep, levers)), Some(scratch)) = (&staged, scratch.as_mut()) {
                 let stage_started = Instant::now();
-                let staging = sweep.stage_factors(levers, &factor_vectors[i], scratch)?;
+                let staging = sweep.stage_factors(levers, &factor_vectors[i], scratch);
                 stage_nanos +=
                     u64::try_from(stage_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if staging == Staging::Row {
-                    acc.submit_row(sweep.plan(), &scratch.row, pos, &mut success)?;
-                    deferred.push(pos);
-                    continue;
+                match staging {
+                    Ok(Staging::Row) => {
+                        match acc.submit_row(sweep.plan(), &scratch.row, pos, &mut success) {
+                            Ok(()) => deferred.push(pos),
+                            Err(err) => values[pos] = Some(Err(err.into())),
+                        }
+                        continue;
+                    }
+                    Ok(Staging::Fallback) => {}
+                    Err(err) => {
+                        values[pos] = Some(Err(err));
+                        continue;
+                    }
                 }
             }
-            let factors: Vec<(&Lever, f64)> = quantities
-                .iter()
-                .zip(factor_vectors[i].iter())
-                .map(|(q, &f)| (&q.lever, f))
-                .collect();
-            let perturbed = apply_all(assembly, &factors)?;
-            let evaluator = Evaluator::with_plan_cache(&perturbed, options, Arc::clone(plans));
-            match evaluator.defer_failure_probability(service, env, pos, &mut acc, &mut success)? {
-                BlockedOutcome::Immediate(p) => values[pos] = Some(p.value()),
-                BlockedOutcome::Deferred => deferred.push(pos),
-            }
+            values[pos] = Some(
+                sample_failure_probability(
+                    assembly,
+                    service,
+                    env,
+                    quantities,
+                    &factor_vectors[i],
+                    options,
+                    plans,
+                )
+                .map(|p| p.value()),
+            );
         }
         plans.record_stage_nanos(stage_nanos);
         acc.finish(&mut success);
-        if let Some((_, err)) = acc.take_errors().into_iter().next() {
-            return Err(err);
+        for (tag, err) in acc.take_errors() {
+            values[tag] = Some(Err(err));
         }
         for pos in deferred {
-            values[pos] = Some(Probability::new(success[pos])?.complement().value());
-        }
-        Ok(stripe
-            .into_iter()
-            .zip(
-                values
-                    .into_iter()
-                    .map(|v| v.expect("every sample resolved")),
-            )
-            .collect())
-    };
-
-    let workers = workers.max(1).min(samples);
-    let mut values = vec![f64::NAN; samples];
-    if workers == 1 {
-        for (i, v) in run_stripe((0..samples).collect())? {
-            values[i] = v;
-        }
-    } else {
-        let run_stripe = &run_stripe;
-        let collected: Vec<Result<Vec<(usize, f64)>>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let stripe: Vec<usize> = (w..samples).step_by(workers).collect();
-                    scope.spawn(move |_| run_stripe(stripe))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("uncertainty worker panicked"))
-                .collect()
-        })
-        .expect("uncertainty worker panicked");
-        for stripe in collected {
-            for (i, v) in stripe? {
-                values[i] = v;
+            if values[pos].is_none() {
+                values[pos] = Some(complement_of_success(success[pos]).map(|p| p.value()));
             }
         }
-    }
+        values
+            .into_iter()
+            .map(|v| v.expect("every sample resolved"))
+            .collect()
+    });
+    let mut values = results.into_iter().collect::<Result<Vec<f64>>>()?;
     values.sort_by(|a, b| a.partial_cmp(b).expect("probabilities are finite"));
     let pct = |q: f64| -> f64 {
         let idx = ((values.len() as f64 - 1.0) * q).round() as usize;
@@ -442,8 +422,8 @@ pub fn interval_with_options(
         .collect();
     // The two bracketing assemblies share every flow structure: one plan
     // cache (and one block accumulator) lets both top-level solves ride a
-    // single two-lane tape replay wherever a compiled plan answers —
-    // staged straight into parameter rows when the sweep compiles.
+    // single two-lane tape replay when the sweep stages; otherwise each
+    // bracket is one evaluation of its perturbed assembly.
     let plans = Arc::new(PlanCache::new());
     let staged = match StagedSweep::compile(assembly, service, env, &plans, options)? {
         Some(sweep) => {
@@ -466,17 +446,8 @@ pub fn interval_with_options(
                 return Ok(None);
             }
         }
-        let pairs: Vec<(&Lever, f64)> = quantities
-            .iter()
-            .zip(factors)
-            .map(|(q, &f)| (&q.lever, f))
-            .collect();
-        let perturbed = apply_all(assembly, &pairs)?;
-        let evaluator = Evaluator::with_plan_cache(&perturbed, options, Arc::clone(&plans));
-        match evaluator.defer_failure_probability(service, env, tag, &mut acc, &mut success)? {
-            BlockedOutcome::Immediate(p) => Ok(Some(p)),
-            BlockedOutcome::Deferred => Ok(None),
-        }
+        sample_failure_probability(assembly, service, env, quantities, factors, options, &plans)
+            .map(Some)
     };
     let low = bracket(&lows, 0)?;
     let high = bracket(&highs, 1)?;
@@ -485,13 +456,38 @@ pub fn interval_with_options(
     if let Some((_, err)) = acc.take_errors().into_iter().next() {
         return Err(err);
     }
-    let resolve = |immediate: Option<Probability>, tag: usize| -> Result<Probability> {
-        match immediate {
-            Some(p) => Ok(p),
-            None => Ok(Probability::new(success[tag])?.complement()),
-        }
+    let resolve = |immediate: Option<Probability>, tag: usize| match immediate {
+        Some(p) => Ok(p),
+        None => complement_of_success(success[tag]),
     };
     Ok((resolve(low, 0)?, resolve(high, 1)?))
+}
+
+/// `Pfail` of the assembly with every quantity's lever scaled by its
+/// factor: one evaluation of the perturbed assembly over the shared plan
+/// cache — the generic path for samples the staged sweep cannot row-stage.
+fn sample_failure_probability(
+    assembly: &Assembly,
+    service: &ServiceId,
+    env: &Bindings,
+    quantities: &[UncertainQuantity],
+    factors: &[f64],
+    options: EvalOptions,
+    plans: &Arc<PlanCache>,
+) -> Result<Probability> {
+    let pairs: Vec<(&Lever, f64)> = quantities
+        .iter()
+        .zip(factors)
+        .map(|(q, &f)| (&q.lever, f))
+        .collect();
+    let perturbed = apply_all(assembly, &pairs)?;
+    Evaluator::with_plan_cache(&perturbed, options, Arc::clone(plans))
+        .failure_probability(service, env)
+}
+
+/// `Pfail` from a flushed lane's raw success probability.
+fn complement_of_success(success: f64) -> Result<Probability> {
+    Ok(Probability::new(success)?.complement())
 }
 
 #[cfg(test)]
@@ -741,10 +737,12 @@ mod tests {
 
     /// Staged factor sweeps must be **bitwise** identical to the generic
     /// per-sample scalar rebuild under the same compiled-plan policy: same
-    /// sampled factors, same values, same summary.
+    /// sampled factors, same values, same summary — at every final-block
+    /// occupancy of the lane-8 accumulator, and striped across workers.
     #[test]
     fn staged_propagation_matches_generic_scalar_loop_bitwise() {
         use crate::SolverPolicy;
+        use archrel_markov::LANE;
         let (assembly, env) = stageable_assembly();
         let qs = vec![
             UncertainQuantity {
@@ -767,21 +765,10 @@ mod tests {
             ..EvalOptions::default()
         };
         let (samples, seed) = (64, 9);
-        let summary = propagate_with_options(
-            &assembly,
-            &"app".into(),
-            &env,
-            &qs,
-            samples,
-            seed,
-            3,
-            options,
-        )
-        .unwrap();
         // Reference: identical factor draws, evaluated one by one on the
         // generic path (rebuild assembly, fresh evaluator, scalar solve).
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut values: Vec<f64> = (0..samples)
+        let reference: Vec<f64> = (0..samples)
             .map(|_| {
                 let factors: Vec<(&Lever, f64)> = qs
                     .iter()
@@ -795,15 +782,59 @@ mod tests {
                     .value()
             })
             .collect();
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pct = |q: f64| values[((values.len() as f64 - 1.0) * q).round() as usize];
-        assert_eq!(
-            summary.mean.to_bits(),
-            (values.iter().sum::<f64>() / samples as f64).to_bits()
-        );
-        assert_eq!(summary.p05.to_bits(), pct(0.05).to_bits());
-        assert_eq!(summary.p50.to_bits(), pct(0.50).to_bits());
-        assert_eq!(summary.p95.to_bits(), pct(0.95).to_bits());
+        // The summary of the first `n` reference samples, bitwise.
+        let check = |summary: &UncertaintySummary, n: usize| {
+            let mut values = reference[..n].to_vec();
+            values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let pct = |q: f64| values[((values.len() as f64 - 1.0) * q).round() as usize];
+            assert_eq!(
+                summary.mean.to_bits(),
+                (values.iter().sum::<f64>() / n as f64).to_bits(),
+                "{n} samples"
+            );
+            assert_eq!(summary.p05.to_bits(), pct(0.05).to_bits(), "{n} samples");
+            assert_eq!(summary.p50.to_bits(), pct(0.50).to_bits(), "{n} samples");
+            assert_eq!(summary.p95.to_bits(), pct(0.95).to_bits(), "{n} samples");
+        };
+        // One worker, every sample count up to two full blocks plus one,
+        // so each final-block occupancy 1..=LANE flushes through the
+        // accumulator: every sample is a staged row.
+        for n in 1..=2 * LANE + 1 {
+            let plans = Arc::new(PlanCache::new());
+            let summary = propagate_with_plan_cache(
+                &assembly,
+                &"app".into(),
+                &env,
+                &qs,
+                n,
+                seed,
+                1,
+                options,
+                &plans,
+            )
+            .unwrap();
+            check(&summary, n);
+            let stats = plans.stats();
+            assert_eq!(stats.block_points, n as u64, "{n} samples: {stats:?}");
+            assert_eq!(
+                stats.block_flushes,
+                n.div_ceil(LANE) as u64,
+                "{n} samples: {stats:?}"
+            );
+        }
+        // Striped across workers.
+        let summary = propagate_with_options(
+            &assembly,
+            &"app".into(),
+            &env,
+            &qs,
+            samples,
+            seed,
+            3,
+            options,
+        )
+        .unwrap();
+        check(&summary, samples);
         // The interval must agree with the generic bracketing too.
         let (low, high) =
             interval_with_options(&assembly, &"app".into(), &env, &qs, options).unwrap();

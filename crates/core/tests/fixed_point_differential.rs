@@ -6,10 +6,11 @@
 //! degenerate denominators without changing results, and surface
 //! [`CoreError::FixedPointDiverged`] (with the iteration budget) instead
 //! of returning garbage when the budget is too small — on both the
-//! recursive and the compiled-program engines.
+//! recursive and the compiled-program engines, each reached by the
+//! evaluator's sighting rule.
 
 use archrel_core::{
-    CoreError, CycleMode, EvalOptions, Evaluator, FixedPointMode, ProgramMode, SolverPolicy,
+    CacheStats, CoreError, CycleMode, EvalOptions, Evaluator, FixedPointMode, SolverPolicy,
 };
 use archrel_expr::{Bindings, Expr};
 use archrel_model::{
@@ -92,55 +93,85 @@ fn degenerate_plus_mesh(q: f64) -> Assembly {
         .expect("assembly is valid")
 }
 
-fn options(
-    program: ProgramMode,
-    mode: FixedPointMode,
-    max_iterations: usize,
-    tolerance: f64,
-) -> EvalOptions {
+/// How a test reaches an engine, by the evaluator's sighting rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Engine {
+    /// A fresh evaluator's first point walks the recursive path.
+    Recursive,
+    /// A batch of two points compiles the program before its first point.
+    Program,
+}
+
+const ENGINES: [Engine; 2] = [Engine::Recursive, Engine::Program];
+
+fn options(mode: FixedPointMode, max_iterations: usize, tolerance: f64) -> EvalOptions {
     EvalOptions {
         cycle_mode: CycleMode::FixedPoint {
             max_iterations,
             tolerance,
         },
-        program,
         solver: SolverPolicy::Auto,
         fixed_point: mode,
         ..EvalOptions::default()
     }
 }
 
-fn run(assembly: &Assembly, target: &str, options: EvalOptions) -> (f64, archrel_core::CacheStats) {
+/// Evaluates `target` with no bindings on a fresh evaluator through
+/// `engine`, returning the first point's result and the counters.
+fn evaluate(
+    assembly: &Assembly,
+    target: &str,
+    engine: Engine,
+    options: EvalOptions,
+) -> (archrel_core::Result<archrel_model::Probability>, CacheStats) {
     let evaluator = Evaluator::with_options(assembly, options);
-    let p = evaluator
-        .failure_probability(&target.into(), &Bindings::new())
-        .expect("fixed point converges")
-        .value();
-    (p, evaluator.cache_stats())
+    let env = Bindings::new();
+    let result = match engine {
+        Engine::Recursive => evaluator.failure_probability(&target.into(), &env),
+        Engine::Program => evaluator
+            .failure_probabilities(&target.into(), &[&env, &env])
+            .remove(0),
+    };
+    let stats = evaluator.cache_stats();
+    let compiled = u64::from(engine == Engine::Program);
+    assert_eq!(stats.programs_compiled, compiled, "{engine:?}: {stats:?}");
+    (result, stats)
+}
+
+fn run(
+    assembly: &Assembly,
+    target: &str,
+    engine: Engine,
+    options: EvalOptions,
+) -> (f64, CacheStats) {
+    let (result, stats) = evaluate(assembly, target, engine, options);
+    (result.expect("fixed point converges").value(), stats)
 }
 
 #[test]
 fn aitken_agrees_with_plain_to_1e_10_on_converging_meshes() {
     for q in [0.3, 0.6, 0.8] {
         let assembly = two_member_mesh(q, 1e-3);
-        for program in [ProgramMode::Off, ProgramMode::On] {
+        for engine in ENGINES {
             let (plain, plain_stats) = run(
                 &assembly,
                 "a",
-                options(program, FixedPointMode::Plain, 5000, 1e-12),
+                engine,
+                options(FixedPointMode::Plain, 5000, 1e-12),
             );
             let (aitken, aitken_stats) = run(
                 &assembly,
                 "a",
-                options(program, FixedPointMode::Aitken, 5000, 1e-12),
+                engine,
+                options(FixedPointMode::Aitken, 5000, 1e-12),
             );
             assert!(
                 (plain - aitken).abs() < 1e-10,
-                "q={q} {program:?}: plain {plain} vs aitken {aitken}"
+                "q={q} {engine:?}: plain {plain} vs aitken {aitken}"
             );
             assert!(
                 aitken_stats.aitken_accels > 0,
-                "q={q} {program:?}: {aitken_stats:?}"
+                "q={q} {engine:?}: {aitken_stats:?}"
             );
             assert_eq!(plain_stats.aitken_accels, 0, "plain must never accelerate");
         }
@@ -154,38 +185,57 @@ fn aitken_is_engine_agnostic_bitwise() {
     // guarantee the plain differential proptests pin.
     for mode in [FixedPointMode::Plain, FixedPointMode::Aitken] {
         let assembly = two_member_mesh(0.6, 1e-3);
-        let (recursive, _) = run(&assembly, "a", options(ProgramMode::Off, mode, 5000, 1e-12));
-        let (program, _) = run(&assembly, "a", options(ProgramMode::On, mode, 5000, 1e-12));
-        assert_eq!(
-            recursive.to_bits(),
-            program.to_bits(),
-            "{mode:?}: engines disagree"
-        );
+        let options = options(mode, 5000, 1e-12);
+        let (recursive, _) = run(&assembly, "a", Engine::Recursive, options);
+        // A cyclic batch compiles one program before its first point...
+        let evaluator = Evaluator::with_options(&assembly, options);
+        let env = Bindings::new();
+        let batch = evaluator.failure_probabilities(&"a".into(), &[&env, &env]);
+        let batch_stats = evaluator.cache_stats();
+        assert_eq!(batch_stats.programs_compiled, 1, "{mode:?}");
+        for p in batch {
+            let p = p.expect("fixed point converges").value();
+            assert_eq!(
+                recursive.to_bits(),
+                p.to_bits(),
+                "{mode:?}: engines disagree"
+            );
+        }
+        // ...so its program driver ran both points: one more point adds
+        // exactly half the batch's SCC iterations.
+        evaluator
+            .failure_probability(&"a".into(), &env)
+            .expect("fixed point converges");
+        let per_point = evaluator.cache_stats().scc_iterations - batch_stats.scc_iterations;
+        assert!(per_point > 0, "{mode:?}");
+        assert_eq!(batch_stats.scc_iterations, 2 * per_point, "{mode:?}");
     }
 }
 
 #[test]
 fn aitken_falls_back_on_degenerate_denominators_without_changing_results() {
     let assembly = degenerate_plus_mesh(0.6);
-    for program in [ProgramMode::Off, ProgramMode::On] {
+    for engine in ENGINES {
         let (plain, _) = run(
             &assembly,
             "top",
-            options(program, FixedPointMode::Plain, 5000, 1e-12),
+            engine,
+            options(FixedPointMode::Plain, 5000, 1e-12),
         );
         let (aitken, stats) = run(
             &assembly,
             "top",
-            options(program, FixedPointMode::Aitken, 5000, 1e-12),
+            engine,
+            options(FixedPointMode::Aitken, 5000, 1e-12),
         );
         assert!(
             stats.aitken_fallbacks > 0,
-            "{program:?}: the constant ghost iterate must trip the \
+            "{engine:?}: the constant ghost iterate must trip the \
              degenerate-denominator guard: {stats:?}"
         );
         assert!(
             (plain - aitken).abs() < 1e-10,
-            "{program:?}: plain {plain} vs aitken {aitken}"
+            "{engine:?}: plain {plain} vs aitken {aitken}"
         );
     }
 }
@@ -193,22 +243,19 @@ fn aitken_falls_back_on_degenerate_denominators_without_changing_results() {
 #[test]
 fn both_engines_and_modes_surface_diverged_with_the_iteration_budget() {
     let assembly = two_member_mesh(0.5, 1e-3);
-    for program in [ProgramMode::Off, ProgramMode::On] {
+    for engine in ENGINES {
         for mode in [FixedPointMode::Plain, FixedPointMode::Aitken] {
             // Two sweeps cannot reach a 1e-18 residual at contraction 0.5.
-            let evaluator = Evaluator::with_options(&assembly, options(program, mode, 2, 1e-18));
-            let err = evaluator
-                .failure_probability(&"a".into(), &Bindings::new())
-                .unwrap_err();
-            match err {
+            let (result, _) = evaluate(&assembly, "a", engine, options(mode, 2, 1e-18));
+            match result.unwrap_err() {
                 CoreError::FixedPointDiverged {
                     iterations,
                     residual,
                 } => {
-                    assert_eq!(iterations, 2, "{program:?}/{mode:?}");
-                    assert!(residual.is_finite(), "{program:?}/{mode:?}");
+                    assert_eq!(iterations, 2, "{engine:?}/{mode:?}");
+                    assert!(residual.is_finite(), "{engine:?}/{mode:?}");
                 }
-                other => panic!("{program:?}/{mode:?}: expected FixedPointDiverged, got {other:?}"),
+                other => panic!("{engine:?}/{mode:?}: expected FixedPointDiverged, got {other:?}"),
             }
         }
     }

@@ -7,6 +7,11 @@
 //! the recursive evaluator. The two must agree **bitwise** under every
 //! [`SolverPolicy`] and at any batch worker count.
 //!
+//! Each engine is reached the way production reaches it, by the
+//! evaluator's sighting rule: a fresh evaluator's first point walks the
+//! recursive path, and a batch of two or more points compiles the program
+//! before its first point. Every helper asserts which engine answered.
+//!
 //! A second generator produces random *cyclic* assemblies — stacked
 //! mutually-recursive mesh groups (single- and multi-service SCCs,
 //! self-loops, extra back edges) over the same leaf tier — and pins the
@@ -15,7 +20,7 @@
 //! same solver/worker matrix.
 
 use archrel_core::{
-    BatchEvaluator, CoreError, CycleMode, EvalOptions, Evaluator, ProgramMode, Query, SolverPolicy,
+    BatchEvaluator, CoreError, CycleMode, EvalOptions, Evaluator, Query, SolverPolicy,
 };
 use archrel_expr::{Bindings, Expr};
 use archrel_model::{
@@ -153,9 +158,8 @@ fn build(spec: &DagSpec) -> Assembly {
         .expect("assembly is valid")
 }
 
-fn opts(program: ProgramMode, solver: SolverPolicy) -> EvalOptions {
+fn opts(solver: SolverPolicy) -> EvalOptions {
     EvalOptions {
-        program,
         solver,
         ..EvalOptions::default()
     }
@@ -163,29 +167,51 @@ fn opts(program: ProgramMode, solver: SolverPolicy) -> EvalOptions {
 
 /// Like [`opts`], but evaluating cycles by fixed point (the only mode a
 /// cyclic assembly evaluates under).
-fn fp_opts(program: ProgramMode, solver: SolverPolicy) -> EvalOptions {
+fn fp_opts(solver: SolverPolicy) -> EvalOptions {
     EvalOptions {
         cycle_mode: CycleMode::FixedPoint {
             max_iterations: 1000,
             tolerance: 1e-10,
         },
-        ..opts(program, solver)
+        ..opts(solver)
     }
 }
 
-/// Evaluates `top` at each demand point, returning the raw f64 bits.
-fn eval_bits(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> Vec<u64> {
-    let evaluator = Evaluator::with_options(assembly, options);
+fn demand(n: f64) -> Bindings {
+    Bindings::new().with(catalog::CPU_PARAM, n)
+}
+
+/// The recursive engine: `top` at each demand point on a fresh evaluator,
+/// whose first point walks the recursive path. Returns the raw f64 bits.
+fn recursive_bits(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> Vec<u64> {
     points
         .iter()
         .map(|&n| {
-            evaluator
-                .failure_probability(&"top".into(), &Bindings::new().with(catalog::CPU_PARAM, n))
+            let evaluator = Evaluator::with_options(assembly, options);
+            let bits = evaluator
+                .failure_probability(&"top".into(), &demand(n))
                 .expect("evaluation succeeds")
                 .value()
-                .to_bits()
+                .to_bits();
+            assert_eq!(evaluator.cache_stats().programs_compiled, 0);
+            bits
         })
         .collect()
+}
+
+/// The compiled program: every demand point in one batch, which compiles
+/// `top`'s program before its first point. Returns the raw f64 bits.
+fn program_bits(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> Vec<u64> {
+    let evaluator = Evaluator::with_options(assembly, options);
+    let envs: Vec<Bindings> = points.iter().map(|&n| demand(n)).collect();
+    let refs: Vec<&Bindings> = envs.iter().collect();
+    let bits = evaluator
+        .failure_probabilities(&"top".into(), &refs)
+        .into_iter()
+        .map(|r| r.expect("evaluation succeeds").value().to_bits())
+        .collect();
+    assert_eq!(evaluator.cache_stats().programs_compiled, 1);
+    bits
 }
 
 const POINTS: [f64; 5] = [1.0, 1e3, 4.5e4, 1e6, 1e6];
@@ -204,8 +230,8 @@ proptest! {
             SolverPolicy::Sparse,
             SolverPolicy::Compiled,
         ] {
-            let recursive = eval_bits(&assembly, opts(ProgramMode::Off, solver), &POINTS);
-            let program = eval_bits(&assembly, opts(ProgramMode::On, solver), &POINTS);
+            let recursive = recursive_bits(&assembly, opts(solver), &POINTS);
+            let program = program_bits(&assembly, opts(solver), &POINTS);
             prop_assert_eq!(
                 &recursive,
                 &program,
@@ -221,26 +247,17 @@ proptest! {
     fn batch_workers_match_scalar_recursive(spec in spec_strategy()) {
         let assembly = build(&spec);
         let points: Vec<f64> = (0..16).map(|i| 1e3 * (i as f64 + 1.0)).collect();
-        let expected = eval_bits(
-            &assembly,
-            opts(ProgramMode::Off, SolverPolicy::Auto),
-            &points,
-        );
-        let queries: Vec<Query> = points
-            .iter()
-            .map(|&n| Query::new("top", Bindings::new().with(catalog::CPU_PARAM, n)))
-            .collect();
+        let expected = recursive_bits(&assembly, opts(SolverPolicy::Auto), &points);
+        let queries: Vec<Query> = points.iter().map(|&n| Query::new("top", demand(n))).collect();
         for workers in [1, 2, 4] {
-            let batch = BatchEvaluator::with_options(
-                &assembly,
-                opts(ProgramMode::On, SolverPolicy::Auto),
-            )
-            .with_workers(workers);
+            let batch = BatchEvaluator::with_options(&assembly, opts(SolverPolicy::Auto))
+                .with_workers(workers);
             let got: Vec<u64> = batch
                 .evaluate_all(&queries)
                 .into_iter()
                 .map(|r| r.expect("evaluation succeeds").value().to_bits())
                 .collect();
+            prop_assert_eq!(batch.cache_stats().programs_compiled, 1);
             prop_assert_eq!(
                 &expected,
                 &got,
@@ -393,10 +410,8 @@ proptest! {
             SolverPolicy::Sparse,
             SolverPolicy::Compiled,
         ] {
-            let recursive =
-                eval_bits(&assembly, fp_opts(ProgramMode::Off, solver), &CYCLE_POINTS);
-            let program =
-                eval_bits(&assembly, fp_opts(ProgramMode::On, solver), &CYCLE_POINTS);
+            let recursive = recursive_bits(&assembly, fp_opts(solver), &CYCLE_POINTS);
+            let program = program_bits(&assembly, fp_opts(solver), &CYCLE_POINTS);
             prop_assert_eq!(
                 &recursive,
                 &program,
@@ -412,26 +427,17 @@ proptest! {
     fn cyclic_batch_workers_match_scalar_recursive(spec in cycle_strategy()) {
         let assembly = build_cyclic(&spec);
         let points: Vec<f64> = (0..8).map(|i| 1e3 * (i as f64 + 1.0)).collect();
-        let expected = eval_bits(
-            &assembly,
-            fp_opts(ProgramMode::Off, SolverPolicy::Auto),
-            &points,
-        );
-        let queries: Vec<Query> = points
-            .iter()
-            .map(|&n| Query::new("top", Bindings::new().with(catalog::CPU_PARAM, n)))
-            .collect();
+        let expected = recursive_bits(&assembly, fp_opts(SolverPolicy::Auto), &points);
+        let queries: Vec<Query> = points.iter().map(|&n| Query::new("top", demand(n))).collect();
         for workers in [1, 2, 4] {
-            let batch = BatchEvaluator::with_options(
-                &assembly,
-                fp_opts(ProgramMode::On, SolverPolicy::Auto),
-            )
-            .with_workers(workers);
+            let batch = BatchEvaluator::with_options(&assembly, fp_opts(SolverPolicy::Auto))
+                .with_workers(workers);
             let got: Vec<u64> = batch
                 .evaluate_all(&queries)
                 .into_iter()
                 .map(|r| r.expect("evaluation succeeds").value().to_bits())
                 .collect();
+            prop_assert_eq!(batch.cache_stats().programs_compiled, 1);
             prop_assert_eq!(
                 &expected,
                 &got,
@@ -463,10 +469,14 @@ fn cyclic_assembly_errors_by_default_and_evaluates_by_fixed_point() {
         ))
         .build()
         .expect("assembly is valid");
-    let evaluator = Evaluator::with_options(&assembly, opts(ProgramMode::On, SolverPolicy::Auto));
+    // A batch of two compiles the program before its first point.
+    let env = Bindings::new();
+    let evaluator = Evaluator::with_options(&assembly, opts(SolverPolicy::Auto));
     let err = evaluator
-        .failure_probability(&"a".into(), &Bindings::new())
+        .failure_probabilities(&"a".into(), &[&env, &env])
+        .remove(0)
         .unwrap_err();
+    assert_eq!(evaluator.cache_stats().programs_compiled, 1);
     match err {
         CoreError::RecursiveAssembly { cycle } => {
             assert_eq!(
@@ -478,12 +488,16 @@ fn cyclic_assembly_errors_by_default_and_evaluates_by_fixed_point() {
     }
     // Under fixed-point mode the same assembly evaluates; program and
     // recursive paths agree bitwise.
-    let recursive =
-        Evaluator::with_options(&assembly, fp_opts(ProgramMode::Off, SolverPolicy::Auto))
-            .failure_probability(&"a".into(), &Bindings::new())
-            .expect("fixed point converges");
-    let program = Evaluator::with_options(&assembly, fp_opts(ProgramMode::On, SolverPolicy::Auto))
-        .failure_probability(&"a".into(), &Bindings::new())
+    let fresh = Evaluator::with_options(&assembly, fp_opts(SolverPolicy::Auto));
+    let recursive = fresh
+        .failure_probability(&"a".into(), &env)
         .expect("fixed point converges");
+    assert_eq!(fresh.cache_stats().programs_compiled, 0);
+    let batched = Evaluator::with_options(&assembly, fp_opts(SolverPolicy::Auto));
+    let program = batched
+        .failure_probabilities(&"a".into(), &[&env, &env])
+        .remove(0)
+        .expect("fixed point converges");
+    assert_eq!(batched.cache_stats().programs_compiled, 1);
     assert_eq!(recursive.value().to_bits(), program.value().to_bits());
 }

@@ -5,12 +5,12 @@
 //! an evaluation answered from an archived `SolvePlan` / program bundle
 //! loaded off disk must be **bitwise identical** to the same evaluation
 //! with every plan compiled fresh in-process — across solver policies,
-//! assembly-program modes, fixed-point schemes, and batch worker counts.
+//! evaluation engines, fixed-point schemes, and batch worker counts.
 //! The properties pin that down:
 //!
 //! 1. on randomly generated *acyclic* flow assemblies, warm-then-read
 //!    through a shared artifact directory reproduces the store-free
-//!    reference bit for bit under every `{solver} × {program}` row, the
+//!    reference bit for bit under every `{solver} × {engine}` row, the
 //!    read pass actually serves archives (`store_hits > 0`, zero writes,
 //!    zero rejects), and `BatchEvaluator` at 1/2/4 workers over an
 //!    archived cache matches the sequential store-free reference;
@@ -32,9 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use archrel::core::batch::{BatchEvaluator, Query};
-use archrel::core::{
-    CycleMode, EvalOptions, Evaluator, FixedPointMode, PlanCache, ProgramMode, SolverPolicy,
-};
+use archrel::core::{CycleMode, EvalOptions, Evaluator, FixedPointMode, PlanCache, SolverPolicy};
 use archrel::expr::{Bindings, Expr};
 use archrel::model::{
     catalog, Assembly, AssemblyBuilder, CompositeService, FlowBuilder, FlowState, Service,
@@ -180,54 +178,118 @@ fn flow_assembly(specs: &[NodeSpec], cyclic: bool) -> Assembly {
         .expect("closed assembly")
 }
 
-/// The forced matrix this suite pins: every combination the
-/// `ARCHREL_SOLVER` × `ARCHREL_ASSEMBLY_PROGRAM` CI rows can force, set
-/// explicitly on `EvalOptions` so the test is identical under any
-/// ambient environment.
-const MATRIX: [(SolverPolicy, ProgramMode); 6] = [
-    (SolverPolicy::Auto, ProgramMode::Auto),
-    (SolverPolicy::Auto, ProgramMode::On),
-    (SolverPolicy::Auto, ProgramMode::Off),
-    (SolverPolicy::Compiled, ProgramMode::Auto),
-    (SolverPolicy::Compiled, ProgramMode::On),
-    (SolverPolicy::Compiled, ProgramMode::Off),
+/// How a pass reaches the evaluation engines — by the evaluator's
+/// sighting rule, as production does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Engine {
+    /// One evaluator, one query at a time: the first query walks the
+    /// recursive path, later ones run the compiled program.
+    Sighting,
+    /// A fresh evaluator per query over the pass's one plan cache: every
+    /// query is a first sighting, on the recursive path.
+    Recursive,
+    /// One evaluator, every query in one batch of at least two points:
+    /// the program compiles before the first query.
+    Program,
+}
+
+/// The matrix this suite pins: both plan-compiling solver policies under
+/// each engine, set explicitly on `EvalOptions` so the test is identical
+/// under any ambient environment.
+const MATRIX: [(SolverPolicy, Engine); 6] = [
+    (SolverPolicy::Auto, Engine::Sighting),
+    (SolverPolicy::Auto, Engine::Program),
+    (SolverPolicy::Auto, Engine::Recursive),
+    (SolverPolicy::Compiled, Engine::Sighting),
+    (SolverPolicy::Compiled, Engine::Program),
+    (SolverPolicy::Compiled, Engine::Recursive),
 ];
 
-fn options(solver: SolverPolicy, program: ProgramMode, cycle_mode: CycleMode) -> EvalOptions {
+fn options(solver: SolverPolicy, cycle_mode: CycleMode) -> EvalOptions {
     EvalOptions {
         cycle_mode,
         solver,
-        program,
         ..EvalOptions::default()
     }
 }
 
+/// A plan cache that uses exactly `store` (including explicitly *no*
+/// store for the fresh reference — `PlanCache::new()` would otherwise
+/// adopt an ambient `ARCHREL_ARTIFACT_DIR`).
+fn plan_cache(store: Option<Arc<ArtifactStore>>) -> Arc<PlanCache> {
+    Arc::new(PlanCache::new().with_artifact_store(store))
+}
+
 /// Builds an evaluator over `assembly` whose plan cache uses exactly
-/// `store` (including explicitly *no* store for the fresh reference —
-/// `PlanCache::new()` would otherwise adopt an ambient
-/// `ARCHREL_ARTIFACT_DIR`).
+/// `store`.
 fn evaluator_with<'a>(
     assembly: &'a Assembly,
     opts: &EvalOptions,
     store: Option<Arc<ArtifactStore>>,
 ) -> Evaluator<'a> {
-    Evaluator::with_plan_cache(
-        assembly,
-        *opts,
-        Arc::new(PlanCache::new().with_artifact_store(store)),
-    )
+    Evaluator::with_plan_cache(assembly, *opts, plan_cache(store))
 }
 
-fn run_queries(eval: &Evaluator<'_>, queries: &[Query]) -> Vec<u64> {
-    queries
-        .iter()
-        .map(|q| {
-            eval.failure_probability(&q.service, &q.env)
-                .expect("closed assembly evaluates")
-                .value()
-                .to_bits()
-        })
-        .collect()
+/// Evaluates every query, in order, through `engine` over one plan cache
+/// using `store`, asserting which engine answered; returns the raw f64
+/// bits.
+fn run_queries(
+    assembly: &Assembly,
+    opts: &EvalOptions,
+    store: Option<Arc<ArtifactStore>>,
+    engine: Engine,
+    queries: &[Query],
+) -> Vec<u64> {
+    let plans = plan_cache(store);
+    let bits = |r: archrel::core::Result<archrel::model::Probability>| {
+        r.expect("closed assembly evaluates").value().to_bits()
+    };
+    let (bits, compiled) = match engine {
+        Engine::Sighting => {
+            let eval = Evaluator::with_plan_cache(assembly, *opts, plans);
+            let out = queries
+                .iter()
+                .map(|q| bits(eval.failure_probability(&q.service, &q.env)))
+                .collect();
+            (out, eval.cache_stats().programs_compiled)
+        }
+        Engine::Recursive => {
+            let mut compiled = 0;
+            let out = queries
+                .iter()
+                .map(|q| {
+                    let eval = Evaluator::with_plan_cache(assembly, *opts, Arc::clone(&plans));
+                    let b = bits(eval.failure_probability(&q.service, &q.env));
+                    compiled += eval.cache_stats().programs_compiled;
+                    b
+                })
+                .collect();
+            (out, compiled)
+        }
+        Engine::Program => {
+            let eval = Evaluator::with_plan_cache(assembly, *opts, plans);
+            let mut envs: Vec<&Bindings> = queries.iter().map(|q| &q.env).collect();
+            if envs.len() == 1 {
+                // A one-point batch is a first sighting: repeat the point
+                // (last, so the earlier answers are unaffected).
+                envs.push(envs[0]);
+            }
+            let out = eval
+                .failure_probabilities(&queries[0].service, &envs)
+                .into_iter()
+                .take(queries.len())
+                .map(bits)
+                .collect();
+            (out, eval.cache_stats().programs_compiled)
+        }
+    };
+    let want = match engine {
+        Engine::Sighting => u64::from(queries.len() >= 2),
+        Engine::Recursive => 0,
+        Engine::Program => 1,
+    };
+    assert_eq!(compiled, want, "{engine:?}");
+    bits
 }
 
 /// The core warm-then-read differential, shared by the acyclic and
@@ -240,33 +302,39 @@ fn assert_archived_matches_fresh(
     cycle_mode: CycleMode,
     tag: &str,
 ) {
-    for (solver, program) in MATRIX {
-        let opts = options(solver, program, cycle_mode);
+    for (solver, engine) in MATRIX {
+        let opts = options(solver, cycle_mode);
         let dir = scratch_dir(tag);
 
         // Store-free reference: every plan compiled fresh in-process.
-        let fresh = run_queries(&evaluator_with(assembly, &opts, None), queries);
+        let fresh = run_queries(assembly, &opts, None, engine, queries);
 
         // Warm pass: read-through misses compile and publish.
         let warm_store =
             Arc::new(ArtifactStore::open(&dir, ArtifactMode::ReadWrite).expect("open rw store"));
         let warm = run_queries(
-            &evaluator_with(assembly, &opts, Some(Arc::clone(&warm_store))),
+            assembly,
+            &opts,
+            Some(Arc::clone(&warm_store)),
+            engine,
             queries,
         );
-        prop_assert_eq!(&warm, &fresh, "warm pass diverged ({solver:?}/{program:?})");
+        prop_assert_eq!(&warm, &fresh, "warm pass diverged ({solver:?}/{engine:?})");
 
         // Read pass: a cold process answering from the archive alone.
         let read_store =
             Arc::new(ArtifactStore::open(&dir, ArtifactMode::Read).expect("open ro store"));
         let archived = run_queries(
-            &evaluator_with(assembly, &opts, Some(Arc::clone(&read_store))),
+            assembly,
+            &opts,
+            Some(Arc::clone(&read_store)),
+            engine,
             queries,
         );
         prop_assert_eq!(
             &archived,
             &fresh,
-            "archived pass diverged ({solver:?}/{program:?})"
+            "archived pass diverged ({solver:?}/{engine:?})"
         );
         let stats = read_store.stats();
         prop_assert_eq!(stats.writes, 0, "read-only store wrote");
@@ -274,7 +342,7 @@ fn assert_archived_matches_fresh(
         if solver == SolverPolicy::Compiled {
             prop_assert!(
                 stats.hits > 0,
-                "compiled policy never touched the warm archive ({program:?})"
+                "compiled policy never touched the warm archive ({engine:?})"
             );
         }
 
@@ -294,7 +362,7 @@ fn assert_archived_matches_fresh(
                     i,
                     workers,
                     solver,
-                    program
+                    engine
                 );
             }
         }
@@ -313,7 +381,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random acyclic flow assemblies: archived evaluation is bitwise
-    /// the store-free reference across the solver × program matrix and
+    /// the store-free reference across the solver × engine matrix and
     /// batch worker counts 1/2/4.
     #[test]
     fn acyclic_archived_evaluation_is_bitwise_fresh(
@@ -390,36 +458,36 @@ fn fixed_point_archived_evaluation_is_bitwise_fresh() {
     };
 
     for fixed_point in [FixedPointMode::Plain, FixedPointMode::Aitken] {
-        for program in [ProgramMode::Auto, ProgramMode::On] {
+        for engine in [Engine::Sighting, Engine::Program] {
             let opts = EvalOptions {
                 fixed_point,
-                ..options(SolverPolicy::Compiled, program, cycle_mode)
+                ..options(SolverPolicy::Compiled, cycle_mode)
             };
             let dir = scratch_dir("fixedpoint");
 
-            let fresh = run_queries(&evaluator_with(&assembly, &opts, None), &queries);
+            let fresh = run_queries(&assembly, &opts, None, engine, &queries);
             let warm_store = Arc::new(ArtifactStore::open(&dir, ArtifactMode::ReadWrite).unwrap());
-            let warm = run_queries(
-                &evaluator_with(&assembly, &opts, Some(warm_store)),
-                &queries,
-            );
-            assert_eq!(warm, fresh, "warm diverged ({fixed_point:?}/{program:?})");
+            let warm = run_queries(&assembly, &opts, Some(warm_store), engine, &queries);
+            assert_eq!(warm, fresh, "warm diverged ({fixed_point:?}/{engine:?})");
 
             let read_store = Arc::new(ArtifactStore::open(&dir, ArtifactMode::Read).unwrap());
             let archived = run_queries(
-                &evaluator_with(&assembly, &opts, Some(Arc::clone(&read_store))),
+                &assembly,
+                &opts,
+                Some(Arc::clone(&read_store)),
+                engine,
                 &queries,
             );
             assert_eq!(
                 archived, fresh,
-                "archived diverged ({fixed_point:?}/{program:?})"
+                "archived diverged ({fixed_point:?}/{engine:?})"
             );
             let stats = read_store.stats();
             assert_eq!(stats.writes, 0);
             assert_eq!(stats.validate_rejects, 0);
             assert!(
                 stats.hits > 0,
-                "fixed-point pass never touched the archive ({fixed_point:?}/{program:?})"
+                "fixed-point pass never touched the archive ({fixed_point:?}/{engine:?})"
             );
 
             std::fs::remove_dir_all(&dir).ok();
