@@ -12,10 +12,11 @@
 //!
 //! Each measurement evaluates one parameter point over pre-warmed caches,
 //! each engine reached by the evaluator's sighting rule: `recursive`
-//! evaluates every point on a fresh evaluator (its first sighting) over
-//! shared, warmed plan and value caches; `program` compiles the program
-//! with a warm-up batch of two points before timing starts. The numbers
-//! isolate steady-state per-point cost, not compilation.
+//! evaluates every point on a fresh evaluator (its first sighting) over a
+//! shared, warmed plan cache and a private value cache (a shared one would
+//! also share the program a second sighting compiles); `program` compiles
+//! the program with a warm-up batch of two points before timing starts.
+//! The numbers isolate steady-state per-point cost, not compilation.
 //!
 //! The acceptance sweep with markdown + JSON records lives in
 //! `src/bin/exp_assembly_program.rs`.
@@ -23,7 +24,7 @@
 use std::sync::Arc;
 
 use archrel_bench::scenarios::shared_dag_assembly;
-use archrel_core::{EvalOptions, Evaluator, PlanCache, ValueCache};
+use archrel_core::{EvalOptions, Evaluator, PlanCache};
 use archrel_expr::Bindings;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -42,12 +43,9 @@ fn bench_axis(
         let app = "app".into();
         let warm = Bindings::new().with("work", 1e5);
         let plans = Arc::new(PlanCache::new());
-        let values = Arc::new(ValueCache::new());
-        let fresh = || {
-            Evaluator::with_plan_cache(&assembly, EvalOptions::default(), Arc::clone(&plans))
-                .with_value_cache(Arc::clone(&values))
-        };
-        // Warm both engines once: fills the solve caches, and the batch of
+        let fresh =
+            || Evaluator::with_plan_cache(&assembly, EvalOptions::default(), Arc::clone(&plans));
+        // Warm both engines once: fills the plan cache, and the batch of
         // two compiles the program.
         fresh()
             .failure_probability(&app, &warm)
@@ -69,10 +67,13 @@ fn bench_axis(
         };
         group.bench_function(BenchmarkId::new("recursive", id), |b| {
             b.iter(|| {
-                fresh()
+                let evaluator = fresh();
+                let p = evaluator
                     .failure_probability(&app, &next_env())
                     .expect("evaluation succeeds")
-                    .value()
+                    .value();
+                assert_eq!(evaluator.local_stats().programs_compiled, 0);
+                p
             })
         });
         group.bench_function(BenchmarkId::new("program", id), |b| {

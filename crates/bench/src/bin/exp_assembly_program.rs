@@ -7,9 +7,9 @@
 //! sighting rule:
 //!
 //! - **recursive**: the per-point walk — every point is a fresh
-//!   evaluator's first sighting (the evaluators share one plan cache and
-//!   one value cache, so they do exactly what one recursive evaluator
-//!   would). It memoizes sub-services per point through string-keyed
+//!   evaluator's first sighting (the evaluators share one plan cache; each
+//!   point gets its own value cache, since a shared one would also share
+//!   the program its second sighting compiles). It memoizes sub-services per point through string-keyed
 //!   environment keys, but every visit pays per-call `Bindings` maps,
 //!   formatted cache keys, a full augmented-chain rebuild, and a
 //!   plan-cache fingerprint lookup.
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use archrel_bench::record::{BenchRecord, JsonValue};
 use archrel_bench::scenarios::shared_dag_assembly;
-use archrel_core::{EvalOptions, Evaluator, PlanCache, ValueCache};
+use archrel_core::{EvalOptions, Evaluator, PlanCache};
 use archrel_expr::Bindings;
 use archrel_model::Assembly;
 
@@ -64,28 +64,29 @@ enum Engine {
 }
 
 /// One sweep over `envs`, returning the point-order checksum: through
-/// fresh evaluators (shared plan and value caches) whose first sighting
-/// walks the recursive path, or through one batch that compiles the
-/// program first.
+/// fresh evaluators (shared plan cache, private value caches) whose first
+/// sighting walks the recursive path, or through one batch that compiles
+/// the program first.
 fn sweep(assembly: &Assembly, engine: Engine, envs: &[Bindings]) -> f64 {
     let app = "app".into();
     let mut sum = 0.0;
     match engine {
         Engine::Recursive => {
             let plans = Arc::new(PlanCache::new());
-            let values = Arc::new(ValueCache::new());
+            let mut compiled = 0;
             for env in envs {
                 let evaluator = Evaluator::with_plan_cache(
                     assembly,
                     EvalOptions::default(),
                     Arc::clone(&plans),
-                )
-                .with_value_cache(Arc::clone(&values));
+                );
                 sum += evaluator
                     .failure_probability(&app, env)
                     .expect("evaluation succeeds")
                     .value();
+                compiled += evaluator.local_stats().programs_compiled;
             }
+            assert_eq!(compiled, 0, "the recursive row must not compile a program");
         }
         Engine::Program => {
             let evaluator = Evaluator::new(assembly);

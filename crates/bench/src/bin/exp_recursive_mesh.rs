@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use archrel_bench::record::{BenchRecord, JsonValue};
 use archrel_bench::scenarios::recursive_mesh_assembly;
-use archrel_core::{CycleMode, EvalOptions, Evaluator, FixedPointMode, PlanCache, ValueCache};
+use archrel_core::{CycleMode, EvalOptions, Evaluator, FixedPointMode, PlanCache};
 use archrel_expr::Bindings;
 use archrel_model::Assembly;
 
@@ -79,9 +79,10 @@ enum Engine {
 }
 
 /// One sweep over `envs`, returning the point-order checksum: through
-/// fresh evaluators (shared plan and value caches) whose first sighting
-/// walks the recursive path, or through one batch that compiles the
-/// program first.
+/// fresh evaluators (shared plan cache, private value caches, since a
+/// shared one would also share the program a second sighting compiles)
+/// whose first sighting walks the recursive path, or through one batch
+/// that compiles the program first.
 fn sweep(
     assembly: &Assembly,
     engine: Engine,
@@ -93,16 +94,17 @@ fn sweep(
     match engine {
         Engine::Recursive => {
             let plans = Arc::new(PlanCache::new());
-            let values = Arc::new(ValueCache::new());
+            let mut compiled = 0;
             for env in envs {
                 let evaluator =
-                    Evaluator::with_plan_cache(assembly, options(fixed_point), Arc::clone(&plans))
-                        .with_value_cache(Arc::clone(&values));
+                    Evaluator::with_plan_cache(assembly, options(fixed_point), Arc::clone(&plans));
                 sum += evaluator
                     .failure_probability(&app, env)
                     .expect("fixed point converges")
                     .value();
+                compiled += evaluator.local_stats().programs_compiled;
             }
+            assert_eq!(compiled, 0, "the recursive row must not compile a program");
         }
         Engine::Program => {
             let evaluator = Evaluator::with_options(assembly, options(fixed_point));

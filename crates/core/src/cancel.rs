@@ -4,7 +4,8 @@
 //! wall-clock deadline. Evaluators built with
 //! [`Evaluator::with_cancellation`](crate::Evaluator::with_cancellation)
 //! check the token at every composite-service resolution, every blocked
-//! point, and every fixed-point sweep, so a caller that owns the token — the
+//! point, and every fixed-point sweep — on the recursive path and in
+//! compiled assembly programs alike — so a caller that owns the token — the
 //! `archrel serve` daemon enforcing per-request deadlines, a UI with a
 //! cancel button — can abort an in-flight evaluation with a typed error
 //! ([`CoreError::DeadlineExceeded`](crate::CoreError::DeadlineExceeded) /

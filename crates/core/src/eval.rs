@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use archrel_expr::Bindings;
@@ -200,9 +200,12 @@ impl SolverPolicy {
 /// layer that replaces the recursive walk for repeated evaluations of one
 /// target, bitwise identical to it. Compilation costs about one recursive
 /// evaluation, so compiling on the second sight already pays off, while a
-/// target evaluated once (a one-shot CLI call, a daemon request) never
-/// pays for it; [`Evaluator::failure_probabilities`] counts each point, so
-/// a batch of two or more compiles before its first point. Cyclic
+/// target evaluated once (a one-shot CLI call) never pays for it;
+/// [`Evaluator::failure_probabilities`] counts each point, so a batch of
+/// two or more compiles before its first point. Sightings count per
+/// [`ValueCache`], across every evaluator attaching it: the `archrel
+/// serve` daemon's request-scoped evaluators over one catalog entry
+/// compile at the entry's second request for a target. Cyclic
 /// dependency graphs compile like acyclic ones (their loop components run
 /// the program's fixed-point driver); a target that cannot compile stays on
 /// the recursive path.
@@ -305,7 +308,9 @@ pub struct CacheStats {
     /// node sits outside the declared varied-parameter cone and its inputs
     /// compared bit-equal to the pinned evaluation.
     pub pin_hits: u64,
-    /// `(assembly, target)` pairs compiled into assembly programs.
+    /// `(assembly, target)` pairs this evaluator compiled into assembly
+    /// programs (a program another evaluator compiled into a shared
+    /// [`ValueCache`] counts there).
     pub programs_compiled: u64,
     /// Global fixed-point sweeps performed across all
     /// [`CycleMode::FixedPoint`] evaluations (recursive or program-driven).
@@ -317,7 +322,7 @@ pub struct CacheStats {
     /// denominator.
     pub aitken_fallbacks: u64,
     /// Nontrivial strongly connected components (fixed-point loop
-    /// components) across all compiled assembly programs.
+    /// components) across the assembly programs this evaluator compiled.
     pub program_loop_sccs: u64,
     /// Per-SCC member-estimate updates performed by compiled programs'
     /// fixed-point drivers, summed over all loop SCCs.
@@ -445,6 +450,12 @@ struct CacheCounters {
     fixed_point_sweeps: AtomicU64,
     aitken_accels: AtomicU64,
     aitken_fallbacks: AtomicU64,
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
+    pin_hits: AtomicU64,
+    programs_compiled: AtomicU64,
+    program_loop_sccs: AtomicU64,
+    scc_iterations: AtomicU64,
 }
 
 impl CacheCounters {
@@ -457,6 +468,12 @@ impl CacheCounters {
             fixed_point_sweeps: self.fixed_point_sweeps.load(Ordering::Relaxed),
             aitken_accels: self.aitken_accels.load(Ordering::Relaxed),
             aitken_fallbacks: self.aitken_fallbacks.load(Ordering::Relaxed),
+            memo_hits: self.memo_hits.load(Ordering::Relaxed),
+            memo_misses: self.memo_misses.load(Ordering::Relaxed),
+            pin_hits: self.pin_hits.load(Ordering::Relaxed),
+            programs_compiled: self.programs_compiled.load(Ordering::Relaxed),
+            program_loop_sccs: self.program_loop_sccs.load(Ordering::Relaxed),
+            scc_iterations: self.scc_iterations.load(Ordering::Relaxed),
             ..CacheStats::default()
         }
     }
@@ -888,10 +905,11 @@ struct Ctx<'e> {
 
 /// The reliability-prediction engine for one assembly.
 ///
-/// Cheap to construct; holds a memoization cache keyed by
-/// `(service, resolved parameters)` so parameter sweeps that share
-/// sub-invocations (e.g. Figure 6's per-γ curves) reuse work. The evaluator
-/// is `Sync`: the cache is behind a lock, so it can be shared across threads.
+/// Cheap to construct; holds a [`ValueCache`] — a memo keyed by
+/// `(service, resolved parameters)` plus the compiled program of every
+/// promoted target — so parameter sweeps that share sub-invocations (e.g.
+/// Figure 6's per-γ curves) reuse work. The evaluator is `Sync`: the cache
+/// is behind locks, so it can be shared across threads.
 ///
 /// # Examples
 ///
@@ -917,36 +935,48 @@ pub struct Evaluator<'a> {
     values: Arc<ValueCache>,
     counters: CacheCounters,
     plans: Arc<PlanCache>,
-    /// Compiled assembly programs (and their promotion bookkeeping), one
-    /// slot per target service.
-    programs: RwLock<HashMap<ServiceId, ProgramSlot<'a>>>,
-    /// Declared varied-parameter subsets (dirty-cone hints), applied to a
-    /// target's program when it compiles.
-    varied: RwLock<HashMap<ServiceId, Vec<String>>>,
-    programs_compiled: AtomicU64,
-    /// Targets whose pinned-plan bundle has been published to the artifact
-    /// store (publication happens once, after the first evaluation that
-    /// pinned at least one plan).
-    bundles_published: RwLock<HashSet<ServiceId>>,
+    /// Declared varied-parameter subsets (dirty-cone hints), each with its
+    /// cone once computed against the target's program. Scoped to this
+    /// evaluator: the program itself may be shared through the value
+    /// cache, and a cone stored there would change every later caller.
+    varied: RwLock<HashMap<ServiceId, VariedDecl>>,
     /// Cooperative cancellation handle (see [`Evaluator::with_cancellation`]);
     /// `None` means evaluations run to completion.
     cancel: Option<CancelToken>,
 }
 
-/// A shareable `(service, resolved-parameter)` → [`Probability`] memo.
+/// One [`Evaluator::declare_varied`] declaration.
+#[derive(Debug)]
+struct VariedDecl {
+    names: Vec<String>,
+    /// The declaration's dirty cone over the target's program, computed at
+    /// the first evaluation through it.
+    cone: OnceLock<Arc<[bool]>>,
+}
+
+/// A shareable `(service, resolved-parameter)` → [`Probability`] memo,
+/// together with the compiled [`AssemblyProgram`] of every target promoted
+/// through it.
 ///
-/// Unlike the structure-keyed [`PlanCache`], cached *values* bake the
-/// assembly's numbers in, so a `ValueCache` may only be shared across
-/// evaluators of the **same assembly content** — never across numeric
-/// variants. Long-lived hosts that build a short-lived [`Evaluator`] per
-/// request over one resident model (the `archrel serve` daemon's catalog
-/// entries) attach one shared cache per model version via
-/// [`Evaluator::with_value_cache`], so a repeated query is a memo hit
-/// instead of a fresh solve; a hot-swap allocates a fresh cache while the
-/// plan cache stays warm.
+/// Unlike the structure-keyed [`PlanCache`], cached *values* — and the
+/// programs, which bake every model number into their node tables and memo
+/// tables — depend on the assembly's numbers, so a `ValueCache` may only be
+/// shared across evaluators of the **same assembly content** under the
+/// same [`EvalOptions`], never across numeric variants. Long-lived hosts
+/// that build a short-lived [`Evaluator`] per request over one resident
+/// model (the `archrel serve` daemon's catalog entries) attach one shared
+/// cache per model version via [`Evaluator::with_value_cache`], so a
+/// repeated query is a memo hit instead of a fresh solve, and program
+/// sightings count across all of those evaluators: the second request for
+/// a target compiles its program and every later miss runs it. A hot-swap
+/// allocates a fresh cache (no program survives into the next version)
+/// while the plan cache stays warm.
 #[derive(Debug, Default)]
 pub struct ValueCache {
     memo: RwLock<HashMap<CacheKey, Probability>>,
+    /// Compiled assembly programs (and their promotion bookkeeping), one
+    /// slot per target service.
+    programs: RwLock<HashMap<ServiceId, ProgramSlot>>,
 }
 
 impl ValueCache {
@@ -968,12 +998,12 @@ impl ValueCache {
 
 /// Program-promotion state of one target service.
 #[derive(Debug)]
-enum ProgramSlot<'a> {
+enum ProgramSlot {
     /// Still on the recursive path; counts evaluations toward
     /// [`AUTO_PROGRAM_MIN_SEEN`].
     Pending { seen: u64 },
     /// Compiled and answering evaluations.
-    Ready(Arc<AssemblyProgram<'a>>),
+    Ready(Arc<AssemblyProgram>),
     /// Compilation failed (e.g. a malformed expression): remembered so the
     /// recursive path is taken without re-attempting compilation.
     Failed,
@@ -1009,10 +1039,7 @@ impl<'a> Evaluator<'a> {
             values: Arc::new(ValueCache::new()),
             counters: CacheCounters::default(),
             plans,
-            programs: RwLock::new(HashMap::new()),
             varied: RwLock::new(HashMap::new()),
-            programs_compiled: AtomicU64::new(0),
-            bundles_published: RwLock::new(HashSet::new()),
             cancel: None,
         }
     }
@@ -1035,9 +1062,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Attaches a shared value cache (see [`ValueCache`] for the sharing
-    /// contract: same assembly *content* only). Replaces this evaluator's
-    /// private memo, so results computed here are visible to every other
-    /// evaluator holding the same handle and vice versa.
+    /// contract: same assembly *content* and options only). Replaces this
+    /// evaluator's private memo and program table, so results computed
+    /// here — and programs compiled here — are visible to every other
+    /// evaluator holding the same handle and vice versa; sightings of a
+    /// target count across all of them. Counters, the cancellation token
+    /// and [`Evaluator::declare_varied`] declarations stay per evaluator.
     #[must_use]
     pub fn with_value_cache(mut self, values: Arc<ValueCache>) -> Self {
         self.values = values;
@@ -1050,9 +1080,10 @@ impl<'a> Evaluator<'a> {
         &self.values
     }
 
-    /// Fails with the token's typed error if cancellation has tripped.
+    /// Fails with the token's typed error if cancellation has tripped
+    /// (shared with the program path).
     #[inline]
-    fn check_cancel(&self) -> Result<()> {
+    pub(crate) fn check_cancel(&self) -> Result<()> {
         match &self.cancel {
             Some(token) => token.check(),
             None => Ok(()),
@@ -1083,27 +1114,18 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Like [`Evaluator::cache_stats`] but restricted to counters private
-    /// to this evaluator — the value-cache hits/misses/solves and the
-    /// per-program memo counters — *without* folding in the (possibly
-    /// shared) [`PlanCache`]. Aggregators summing many evaluators over one
-    /// shared plan cache (the `archrel serve` daemon's `stats` op) merge
-    /// these local snapshots and add [`PlanCache::stats`] exactly once;
-    /// summing [`Evaluator::cache_stats`] instead would count the shared
-    /// plan-cache activity once per evaluator.
+    /// to this evaluator — the value-cache hits/misses/solves, the program
+    /// memo/pin/SCC counters of its own evaluations and the programs it
+    /// compiled — *without* folding in the (possibly shared)
+    /// [`PlanCache`]. Every event lands in exactly one evaluator, even on a
+    /// program shared through a [`ValueCache`]. Aggregators summing many
+    /// evaluators over one shared plan cache (the `archrel serve` daemon's
+    /// `stats` op) merge these local snapshots and add
+    /// [`PlanCache::stats`] exactly once; summing [`Evaluator::cache_stats`]
+    /// instead would count the shared plan-cache activity once per
+    /// evaluator.
     pub fn local_stats(&self) -> CacheStats {
-        let mut stats = self.counters.snapshot();
-        stats.programs_compiled = self.programs_compiled.load(Ordering::Relaxed);
-        for slot in self.programs.read().values() {
-            if let ProgramSlot::Ready(program) = slot {
-                let (memo_hits, memo_misses, pin_hits) = program.counter_snapshot();
-                stats.memo_hits += memo_hits;
-                stats.memo_misses += memo_misses;
-                stats.pin_hits += pin_hits;
-                stats.program_loop_sccs += program.loop_scc_count() as u64;
-                stats.scc_iterations += program.scc_iteration_total();
-            }
-        }
-        stats
+        self.counters.snapshot()
     }
 
     /// Number of `(service, parameter-fingerprint)` results currently held
@@ -1117,29 +1139,40 @@ impl<'a> Evaluator<'a> {
     /// inputs cannot depend on any declared parameter are evaluated once
     /// and answered from a bit-compare-guarded pin thereafter (see
     /// [`CacheStats::pin_hits`]). The guard makes a wrong or stale
-    /// declaration cost recomputation, never correctness. Applies to the
-    /// target's compiled program (now or when it compiles); the recursive
-    /// path ignores the hint.
+    /// declaration cost recomputation, never correctness. Applies to this
+    /// evaluator's evaluations through the target's compiled program (now
+    /// or once it compiles), never to other evaluators sharing that program
+    /// through a [`ValueCache`]; the recursive path ignores the hint.
     pub fn declare_varied(&self, service: &ServiceId, names: &[String]) {
-        self.varied.write().insert(service.clone(), names.to_vec());
-        if let Some(ProgramSlot::Ready(program)) = self.programs.read().get(service) {
-            program.set_varied(names);
-        }
+        self.varied.write().insert(
+            service.clone(),
+            VariedDecl {
+                names: names.to_vec(),
+                cone: OnceLock::new(),
+            },
+        );
     }
 
     /// Withdraws a [`Evaluator::declare_varied`] declaration: every service
     /// of the target's program goes back to the hashed memo.
     pub fn clear_varied(&self, service: &ServiceId) {
         self.varied.write().remove(service);
-        if let Some(ProgramSlot::Ready(program)) = self.programs.read().get(service) {
-            program.clear_varied();
-        }
+    }
+
+    /// The dirty cone this evaluator declared for `service`, computed
+    /// against its program on first use; `None` without a declaration.
+    fn declared_cone(&self, service: &ServiceId, program: &AssemblyProgram) -> Option<Arc<[bool]>> {
+        let varied = self.varied.read();
+        let decl = varied.get(service)?;
+        Some(Arc::clone(
+            decl.cone.get_or_init(|| program.dirty_cone(&decl.names)),
+        ))
     }
 
     /// The compiled program currently answering evaluations of `service`,
     /// if one has been promoted into place.
-    pub fn program(&self, service: &ServiceId) -> Option<Arc<AssemblyProgram<'a>>> {
-        match self.programs.read().get(service) {
+    pub fn program(&self, service: &ServiceId) -> Option<Arc<AssemblyProgram>> {
+        match self.values.programs.read().get(service) {
             Some(ProgramSlot::Ready(program)) => Some(Arc::clone(program)),
             _ => None,
         }
@@ -1148,18 +1181,19 @@ impl<'a> Evaluator<'a> {
     /// Resolves the program slot for a target about to be evaluated
     /// `weight` times: `Some(..)` when a compiled program should answer,
     /// `None` when the recursive path should run. The target compiles once
-    /// it has been seen [`AUTO_PROGRAM_MIN_SEEN`] times; a compilation
-    /// error demotes it to the recursive path permanently.
-    fn ensure_program(&self, service: &ServiceId, weight: u64) -> Option<Arc<AssemblyProgram<'a>>> {
+    /// it has been seen [`AUTO_PROGRAM_MIN_SEEN`] times by the evaluators
+    /// sharing this value cache; a compilation error demotes it to the
+    /// recursive path permanently.
+    fn ensure_program(&self, service: &ServiceId, weight: u64) -> Option<Arc<AssemblyProgram>> {
         {
-            let programs = self.programs.read();
+            let programs = self.values.programs.read();
             match programs.get(service) {
                 Some(ProgramSlot::Ready(program)) => return Some(Arc::clone(program)),
                 Some(ProgramSlot::Failed) => return None,
                 _ => {}
             }
         }
-        let mut programs = self.programs.write();
+        let mut programs = self.values.programs.write();
         // Re-check: another thread may have resolved the slot between locks.
         let seen = match programs.get(service) {
             Some(ProgramSlot::Ready(program)) => return Some(Arc::clone(program)),
@@ -1175,10 +1209,12 @@ impl<'a> Evaluator<'a> {
             programs.insert(service.clone(), ProgramSlot::Failed);
             return None;
         };
-        self.programs_compiled.fetch_add(1, Ordering::Relaxed);
-        if let Some(names) = self.varied.read().get(service) {
-            program.set_varied(names);
-        }
+        self.counters
+            .programs_compiled
+            .fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .program_loop_sccs
+            .fetch_add(program.loop_scc_count() as u64, Ordering::Relaxed);
         // Bundle warm-start: an earlier process that ran this same program
         // published the fingerprints of the plans it pinned; installing
         // their archives now lets even the first evaluation skip every
@@ -1199,7 +1235,8 @@ impl<'a> Evaluator<'a> {
     /// top-level cache discipline as the recursive path.
     fn failure_probability_via_program(
         &self,
-        program: &AssemblyProgram<'a>,
+        program: &AssemblyProgram,
+        cone: Option<&[bool]>,
         service: &ServiceId,
         env: &Bindings,
     ) -> Result<Probability> {
@@ -1210,29 +1247,51 @@ impl<'a> Evaluator<'a> {
             return Ok(*p);
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let p = program.evaluate(self, env)?;
+        let p = program.evaluate(self, env, cone)?;
         self.publish_program_bundle(service, program);
         self.values.memo.write().insert(key, p);
         Ok(p)
     }
 
     /// Publishes the program's pinned-plan bundle to the artifact store —
-    /// once per target, after the first evaluation that pinned at least one
-    /// plan (pinning happens during evaluation, so the set is complete by
-    /// the time an evaluation returns). Publication failures are non-fatal.
-    fn publish_program_bundle(&self, service: &ServiceId, program: &AssemblyProgram<'a>) {
+    /// once per program, however many evaluators share it, after the first
+    /// evaluation that pinned at least one plan (pinning happens during
+    /// evaluation, so the set is complete by the time an evaluation
+    /// returns). Publication failures are non-fatal.
+    fn publish_program_bundle(&self, service: &ServiceId, program: &AssemblyProgram) {
         let Some(store) = self.plans.artifact_store() else {
             return;
         };
-        if !store.mode().writes() || self.bundles_published.read().contains(service) {
+        if !store.mode().writes() || program.bundle_published() {
             return;
         }
         let fingerprints = program.pinned_plan_fingerprints();
-        if fingerprints.is_empty() {
+        if fingerprints.is_empty() || !program.claim_bundle_publication() {
             return;
         }
         let _ = store.store_bundle(program_digest(self.assembly, service), &fingerprints);
-        self.bundles_published.write().insert(service.clone());
+    }
+
+    /// Counts one program memo lookup (shared with the program path).
+    pub(crate) fn note_memo(&self, hit: bool) {
+        let counter = if hit {
+            &self.counters.memo_hits
+        } else {
+            &self.counters.memo_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one dirty-cone pin answer (shared with the program path).
+    pub(crate) fn note_pin_hit(&self) {
+        self.counters.pin_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one program fixed-point sweep's member-estimate updates.
+    pub(crate) fn note_scc_iterations(&self, updates: u64) {
+        self.counters
+            .scc_iterations
+            .fetch_add(updates, Ordering::Relaxed);
     }
 
     /// Records one plan-path solve kind (shared with the program path).
@@ -1286,7 +1345,10 @@ impl<'a> Evaluator<'a> {
     /// - expression / model / Markov errors from malformed inputs.
     pub fn failure_probability(&self, service: &ServiceId, env: &Bindings) -> Result<Probability> {
         let program = self.ensure_program(service, 1);
-        self.evaluate(program.as_deref(), service, env)
+        let cone = program
+            .as_ref()
+            .and_then(|p| self.declared_cone(service, p));
+        self.evaluate(program.as_deref(), cone.as_deref(), service, env)
     }
 
     /// `Pfail` for many parameter points of **one** service, in input
@@ -1304,23 +1366,28 @@ impl<'a> Evaluator<'a> {
         envs: &[&Bindings],
     ) -> Vec<Result<Probability>> {
         let program = self.ensure_program(service, envs.len() as u64);
+        let cone = program
+            .as_ref()
+            .and_then(|p| self.declared_cone(service, p));
         envs.iter()
-            .map(|env| self.evaluate(program.as_deref(), service, env))
+            .map(|env| self.evaluate(program.as_deref(), cone.as_deref(), service, env))
             .collect()
     }
 
     /// One evaluation on the engine the sighting rule picked: `program`
-    /// when it compiled, the recursive walk otherwise.
+    /// (under this evaluator's declared dirty `cone`) when it compiled, the
+    /// recursive walk otherwise.
     fn evaluate(
         &self,
-        program: Option<&AssemblyProgram<'a>>,
+        program: Option<&AssemblyProgram>,
+        cone: Option<&[bool]>,
         service: &ServiceId,
         env: &Bindings,
     ) -> Result<Probability> {
         match self.options.cycle_mode {
             CycleMode::Error => {
                 if let Some(program) = program {
-                    return self.failure_probability_via_program(program, service, env);
+                    return self.failure_probability_via_program(program, cone, service, env);
                 }
                 // As on the program path, a tripped token wins over a value
                 // the shared cache could answer.
@@ -1347,15 +1414,20 @@ impl<'a> Evaluator<'a> {
                         // driver. Like the recursive sweeps, it never reads
                         // or writes the shared value cache — estimates are
                         // sweep-local state.
-                        let p =
-                            program.evaluate_fixed_point(self, env, max_iterations, tolerance)?;
+                        let p = program.evaluate_fixed_point(
+                            self,
+                            env,
+                            cone,
+                            max_iterations,
+                            tolerance,
+                        )?;
                         self.publish_program_bundle(service, program);
                         return Ok(p);
                     }
                     // Acyclic target under fixed-point mode: every value is
                     // exact, so the normal program path (with its caches)
                     // answers bitwise-identically.
-                    return self.failure_probability_via_program(program, service, env);
+                    return self.failure_probability_via_program(program, cone, service, env);
                 }
                 self.eval_fixed_point(service, env, max_iterations, tolerance)
             }
@@ -2963,5 +3035,144 @@ mod tests {
         let stats = second.local_stats();
         assert_eq!(stats.hits, 1, "fresh evaluator must hit the shared memo");
         assert_eq!(stats.misses, 0, "stats: {stats:?}");
+    }
+
+    /// A factory of evaluators sharing one plan cache and one value cache,
+    /// like the daemon's request-scoped evaluators over a catalog entry.
+    fn sharing_evaluators<'a>(
+        assembly: &'a Assembly,
+        plans: &Arc<PlanCache>,
+        values: &Arc<ValueCache>,
+        options: EvalOptions,
+    ) -> impl Fn() -> Evaluator<'a> {
+        let (plans, values) = (Arc::clone(plans), Arc::clone(values));
+        move || {
+            Evaluator::with_plan_cache(assembly, options, Arc::clone(&plans))
+                .with_value_cache(Arc::clone(&values))
+        }
+    }
+
+    /// Evaluators attaching one value cache share one program per target:
+    /// the second sighting across them compiles it, and each memo, pin
+    /// and compile event lands in exactly one evaluator's counters — the
+    /// sums equal what one evaluator reports for the same points.
+    #[test]
+    fn shared_value_cache_shares_programs_and_counts_each_event_once() {
+        use archrel_model::paper;
+        let assembly = paper::remote_assembly(&paper::PaperParams::default()).unwrap();
+        let service: ServiceId = paper::SEARCH.into();
+        let envs: Vec<Bindings> = (1..=5)
+            .map(|i| paper::search_bindings(4.0, 64.0 * f64::from(i), 1.0))
+            .collect();
+        let single = Evaluator::new(&assembly);
+        let values = Arc::new(ValueCache::new());
+        let fresh = sharing_evaluators(
+            &assembly,
+            &Arc::new(PlanCache::new()),
+            &values,
+            EvalOptions::default(),
+        );
+        let mut summed = CacheStats::default();
+        for env in &envs {
+            let want = single.failure_probability(&service, env).unwrap();
+            let eval = fresh();
+            let got = eval.failure_probability(&service, env).unwrap();
+            assert_eq!(want.value().to_bits(), got.value().to_bits());
+            summed.merge(&eval.local_stats());
+        }
+        let want = single.local_stats();
+        assert_eq!(summed.programs_compiled, 1, "{summed:?}");
+        assert!(want.memo_misses > 0, "{want:?}");
+        assert_eq!(
+            (summed.memo_hits, summed.memo_misses, summed.pin_hits),
+            (want.memo_hits, want.memo_misses, want.pin_hits)
+        );
+        assert_eq!((summed.hits, summed.misses), (want.hits, want.misses));
+        assert!(fresh().program(&service).is_some());
+    }
+
+    /// A dirty cone declared on one evaluator never reaches another
+    /// evaluator sharing the program: only the declaring one pins.
+    #[test]
+    fn declared_cone_stays_with_its_evaluator() {
+        use archrel_model::paper;
+        let assembly = paper::remote_assembly(&paper::PaperParams::default()).unwrap();
+        let service: ServiceId = paper::SEARCH.into();
+        let fresh = sharing_evaluators(
+            &assembly,
+            &Arc::new(PlanCache::new()),
+            &Arc::new(ValueCache::new()),
+            EvalOptions::default(),
+        );
+        let points = |eval: &Evaluator<'_>, from: u32| {
+            let envs: Vec<Bindings> = (from..from + 4)
+                .map(|i| paper::search_bindings(4.0, 64.0 * f64::from(i), 1.0))
+                .collect();
+            let refs: Vec<&Bindings> = envs.iter().collect();
+            for r in eval.failure_probabilities(&service, &refs) {
+                r.unwrap();
+            }
+            eval.local_stats()
+        };
+        let sweep = fresh();
+        sweep.declare_varied(&service, &["n".to_string()]);
+        let swept = points(&sweep, 1);
+        assert_eq!(swept.programs_compiled, 1, "{swept:?}");
+        assert!(swept.pin_hits > 0, "{swept:?}");
+        let plain = points(&fresh(), 10);
+        assert_eq!(plain.programs_compiled, 0, "{plain:?}");
+        assert_eq!(plain.pin_hits, 0, "{plain:?}");
+        assert!(plain.memo_misses > 0, "{plain:?}");
+    }
+
+    /// The pinned-plan bundle belongs to the program, so evaluators
+    /// sharing it through one value cache publish it once.
+    #[test]
+    fn shared_program_publishes_its_bundle_once() {
+        use archrel_model::paper;
+        use archrel_store::{ArtifactMode, ArtifactStore};
+        let dir = std::env::temp_dir().join(format!(
+            "archrel-bundle-once-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir, ArtifactMode::ReadWrite).unwrap());
+        let plans = Arc::new(PlanCache::new().with_artifact_store(Some(Arc::clone(&store))));
+        let assembly = paper::remote_assembly(&paper::PaperParams::default()).unwrap();
+        let service: ServiceId = paper::SEARCH.into();
+        let fresh = sharing_evaluators(
+            &assembly,
+            &plans,
+            &Arc::new(ValueCache::new()),
+            forced(SolverPolicy::Compiled),
+        );
+        let mut compiled = 0;
+        for i in 1..=6 {
+            let eval = fresh();
+            eval.failure_probability(
+                &service,
+                &paper::search_bindings(4.0, 64.0 * f64::from(i), 1.0),
+            )
+            .unwrap();
+            compiled += eval.local_stats().programs_compiled;
+        }
+        assert_eq!(compiled, 1);
+        let count = |prefix: &str| {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter(|e| {
+                    e.as_ref()
+                        .unwrap()
+                        .file_name()
+                        .to_string_lossy()
+                        .starts_with(prefix)
+                })
+                .count() as u64
+        };
+        let bundles = count("bundle-");
+        assert_eq!(bundles, 1, "one program, one bundle");
+        assert_eq!(store.stats().writes, count("plan-") + bundles);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -44,6 +44,18 @@
 //!   not the declaration — carries soundness: a wrong or stale cone only
 //!   costs recomputation, never a wrong value.
 //!
+//! # Sharing
+//!
+//! A program owns everything it reads, so it lives in the
+//! [`crate::ValueCache`] next to the values it produces: every evaluator
+//! attaching one cache (the `archrel serve` daemon's request-scoped
+//! evaluators over one catalog entry) shares one program per target, with
+//! its memo tables and pooled runtimes. Per-caller state stays on the
+//! calling [`Evaluator`]: the memo, pin, SCC and compile counters, the
+//! cancellation token (polled at every composite node and every
+//! fixed-point sweep), and the declared dirty cone, which is passed into
+//! each evaluation.
+//!
 //! # Cyclic assemblies
 //!
 //! A cyclic program refuses plain [`AssemblyProgram::evaluate`] (it
@@ -82,7 +94,7 @@
 //! count.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -153,20 +165,20 @@ struct ConnectorCall {
 }
 
 /// One service call of a flow state.
-struct CallNode<'a> {
+struct CallNode {
     target: usize,
     target_arity: usize,
     actuals: Vec<ActualParam>,
     connector: Option<ConnectorCall>,
-    internal: &'a InternalFailureModel,
+    internal: InternalFailureModel,
 }
 
 /// One flow state with its compiled calls.
-struct StateNode<'a> {
+struct StateNode {
     id: StateId,
     completion: CompletionModel,
     dependency: DependencyModel,
-    calls: Vec<CallNode<'a>>,
+    calls: Vec<CallNode>,
 }
 
 /// One flow transition's compiled probability expression.
@@ -199,8 +211,8 @@ struct MergedEdge {
 }
 
 /// Compiled form of one composite service.
-struct CompositeNode<'a> {
-    states: Vec<StateNode<'a>>,
+struct CompositeNode {
+    states: Vec<StateNode>,
     /// Positions into `states` sorted by [`StateId`] — the iteration order
     /// of the recursive path's `state_failures` B-tree map.
     sorted_states: Vec<usize>,
@@ -209,17 +221,17 @@ struct CompositeNode<'a> {
     merged: Vec<MergedEdge>,
 }
 
-enum NodeKind<'a> {
-    Simple(&'a SimpleService),
-    Composite(CompositeNode<'a>),
+enum NodeKind {
+    Simple(SimpleService),
+    Composite(CompositeNode),
 }
 
 /// One service of the dependency DAG.
-struct Node<'a> {
+struct Node {
     id: ServiceId,
     /// Formal parameter names in register-slot order.
     formals: Vec<String>,
-    kind: NodeKind<'a>,
+    kind: NodeKind,
 }
 
 /// A used formal parameter of the target service, in first-use order (the
@@ -324,15 +336,15 @@ struct FpSweep<'s> {
 /// times); evaluated through [`Evaluator::failure_probability`] once
 /// installed. See the module
 /// documentation for the compilation pipeline and cache semantics.
-pub struct AssemblyProgram<'a> {
+///
+/// The program owns copies of the model values it reads, so one program
+/// can serve every evaluator attaching the same [`crate::ValueCache`] (see
+/// the module documentation's *Sharing* section).
+pub struct AssemblyProgram {
     target: ServiceId,
-    nodes: Vec<Node<'a>>,
+    nodes: Vec<Node>,
     root: usize,
     root_inputs: Vec<RootInput>,
-    /// SCC id of each node; ids ascend callees-first (an SCC's id is lower
-    /// than every SCC calling into it), so ascending-id order is a
-    /// topological order of the condensation.
-    scc_of: Vec<usize>,
     /// Whether each node is inside a nontrivial SCC or can reach one
     /// through its calls — the set evaluated under the fixed-point driver.
     loop_cone: Vec<bool>,
@@ -342,21 +354,17 @@ pub struct AssemblyProgram<'a> {
     /// evaluator's error shape (path from first occurrence, closed by the
     /// repeated service); `None` for acyclic programs.
     cycle: Option<Vec<String>>,
-    /// Per-SCC count of fixed-point member updates (estimate refreshes).
-    scc_iters: Vec<AtomicU64>,
     /// Per-node memo tables keyed by the quantized input-register vector.
     memo: Vec<RwLock<HashMap<Box<[u64]>, Probability>>>,
-    /// Dirty cone: `in_cone[node]` when the node's result can depend on a
-    /// declared-varied parameter; `None` when no declaration was made
-    /// (everything uses the hashed memo).
-    cone: RwLock<Option<Arc<Vec<bool>>>>,
     runtimes: Mutex<Vec<Runtime>>,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    pin_hits: AtomicU64,
+    /// Whether this program's pinned-plan bundle has been published to the
+    /// artifact store (once per program, whichever evaluator gets there).
+    /// Relaxed suffices: the flag guards no other data, and its swap is
+    /// an atomic read-modify-write, so exactly one caller claims it.
+    bundle_published: AtomicBool,
 }
 
-impl std::fmt::Debug for AssemblyProgram<'_> {
+impl std::fmt::Debug for AssemblyProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AssemblyProgram")
             .field("target", &self.target)
@@ -365,7 +373,7 @@ impl std::fmt::Debug for AssemblyProgram<'_> {
     }
 }
 
-impl<'a> AssemblyProgram<'a> {
+impl AssemblyProgram {
     /// Compiles the dependency graph reachable from `target` — cyclic or
     /// not. Cycles are condensed into SCCs and evaluated through the
     /// fixed-point driver ([`crate::CycleMode::FixedPoint`]); a cyclic
@@ -379,7 +387,7 @@ impl<'a> AssemblyProgram<'a> {
     ///   the assembly;
     /// - [`CoreError::Expr`] when a parametric dependency reads a
     ///   parameter its service never declares.
-    pub fn compile(assembly: &'a Assembly, target: &ServiceId) -> Result<AssemblyProgram<'a>> {
+    pub fn compile(assembly: &Assembly, target: &ServiceId) -> Result<AssemblyProgram> {
         let mut builder = ProgramBuilder {
             assembly,
             index: HashMap::new(),
@@ -389,7 +397,7 @@ impl<'a> AssemblyProgram<'a> {
             first_cycle: None,
         };
         let root = builder.build_node(target)?;
-        let nodes: Vec<Node<'a>> = builder
+        let nodes: Vec<Node> = builder
             .nodes
             .into_iter()
             .map(|n| n.expect("every reachable node is lowered"))
@@ -404,7 +412,8 @@ impl<'a> AssemblyProgram<'a> {
         }
         let loop_sccs = scc_cyclic.iter().filter(|&&b| b).count();
         // Loop cone: nodes whose evaluation can reach a cyclic SCC.
-        // Ascending SCC id is callees-first, so one pass suffices.
+        // Ascending SCC id is callees-first (an SCC's id is lower than
+        // every SCC calling into it), so one pass suffices.
         let mut order: Vec<usize> = (0..nodes.len()).collect();
         order.sort_by_key(|&v| scc_of[v]);
         let mut loop_cone = vec![false; nodes.len()];
@@ -424,17 +433,12 @@ impl<'a> AssemblyProgram<'a> {
             nodes,
             root,
             root_inputs,
-            scc_of,
             loop_cone,
             loop_sccs,
             cycle,
-            scc_iters: (0..scc_count).map(|_| AtomicU64::new(0)).collect(),
             memo,
-            cone: RwLock::new(None),
             runtimes: Mutex::new(Vec::new()),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            pin_hits: AtomicU64::new(0),
+            bundle_published: AtomicBool::new(false),
         })
     }
 
@@ -450,14 +454,6 @@ impl<'a> AssemblyProgram<'a> {
         self.loop_sccs
     }
 
-    /// Total fixed-point member updates across all SCCs so far.
-    pub(crate) fn scc_iteration_total(&self) -> u64 {
-        self.scc_iters
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// The target service this program evaluates.
     pub fn target(&self) -> &ServiceId {
         &self.target
@@ -468,12 +464,13 @@ impl<'a> AssemblyProgram<'a> {
         self.nodes.len()
     }
 
-    /// Declares the subset of the target's formal parameters a sweep will
-    /// vary, computing the dirty cone: nodes whose inputs cannot depend on
-    /// any varied parameter are evaluated once and pinned (bit-compare
-    /// guarded) instead of hashed into the memo. An empty slice pins
-    /// everything; parameters not naming a formal simply widen nothing.
-    pub fn set_varied(&self, names: &[String]) {
+    /// The dirty cone of a sweep varying `names` among the target's formal
+    /// parameters: `cone[node]` when the node's inputs can depend on a
+    /// varied parameter. Nodes outside it are evaluated once and pinned
+    /// (bit-compare guarded) instead of hashed into the memo. An empty
+    /// slice pins everything; parameters not naming a formal simply widen
+    /// nothing.
+    pub(crate) fn dirty_cone(&self, names: &[String]) -> Arc<[bool]> {
         let root_formals = &self.nodes[self.root].formals;
         let mut varied: Vec<Vec<bool>> = self
             .nodes
@@ -521,14 +518,19 @@ impl<'a> AssemblyProgram<'a> {
                 }
             }
         }
-        let in_cone: Vec<bool> = varied.iter().map(|v| v.iter().any(|&b| b)).collect();
-        *self.cone.write() = Some(Arc::new(in_cone));
+        varied.iter().map(|v| v.iter().any(|&b| b)).collect()
     }
 
-    /// Clears any dirty-cone declaration: every node goes back to the
-    /// hashed memo.
-    pub fn clear_varied(&self) {
-        *self.cone.write() = None;
+    /// Claims publication of the program's pinned-plan bundle: `true` for
+    /// the first caller only, so the bundle is written once per program
+    /// however many evaluators share it.
+    pub(crate) fn claim_bundle_publication(&self) -> bool {
+        !self.bundle_published.swap(true, Ordering::Relaxed)
+    }
+
+    /// Whether the program's pinned-plan bundle has been published.
+    pub(crate) fn bundle_published(&self) -> bool {
+        self.bundle_published.load(Ordering::Relaxed)
     }
 
     /// Structure fingerprints of every solve plan pinned by this program's
@@ -553,37 +555,14 @@ impl<'a> AssemblyProgram<'a> {
         fingerprints
     }
 
-    /// Memo / pin counter snapshot: `(memo_hits, memo_misses, pin_hits)`.
-    pub(crate) fn counter_snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.memo_hits.load(Ordering::Relaxed),
-            self.memo_misses.load(Ordering::Relaxed),
-            self.pin_hits.load(Ordering::Relaxed),
-        )
-    }
-
     /// Evaluates `Pfail(target, env)` — bitwise identical to the recursive
-    /// evaluator.
+    /// evaluator. `cone` is the caller's declared dirty cone
+    /// ([`AssemblyProgram::dirty_cone`]), `None` for plain memoization.
     pub(crate) fn evaluate(
         &self,
-        evaluator: &Evaluator<'a>,
+        evaluator: &Evaluator<'_>,
         env: &Bindings,
-    ) -> Result<Probability> {
-        let mut rt = self
-            .runtimes
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Runtime::new(self.nodes.len()));
-        let result = self.evaluate_with(evaluator, env, &mut rt);
-        self.runtimes.lock().push(rt);
-        result
-    }
-
-    fn evaluate_with(
-        &self,
-        evaluator: &Evaluator<'a>,
-        env: &Bindings,
-        rt: &mut Runtime,
+        cone: Option<&[bool]>,
     ) -> Result<Probability> {
         if let Some(cycle) = &self.cycle {
             // Plain (non-fixed-point) evaluation of a cyclic program: same
@@ -592,10 +571,23 @@ impl<'a> AssemblyProgram<'a> {
                 cycle: cycle.clone(),
             });
         }
-        let cone = self.cone.read().clone();
-        let cone = cone.as_deref().map(Vec::as_slice);
-        self.seed_root_inputs(env, rt)?;
-        self.eval_node(evaluator, rt, cone, self.root, 0, None)
+        self.with_runtime(|rt| {
+            self.seed_root_inputs(env, rt)?;
+            self.eval_node(evaluator, rt, cone, self.root, 0, None)
+        })
+    }
+
+    /// Runs `f` on a runtime checked out of the pool (a fresh one when
+    /// every pooled runtime is in use), returning it afterwards.
+    fn with_runtime<T>(&self, f: impl FnOnce(&mut Runtime) -> T) -> T {
+        let mut rt = self
+            .runtimes
+            .lock()
+            .pop()
+            .unwrap_or_else(|| Runtime::new(self.nodes.len()));
+        let result = f(&mut rt);
+        self.runtimes.lock().push(rt);
+        result
     }
 
     /// Resets the runtime's register stack and loads the target's bound
@@ -625,34 +617,30 @@ impl<'a> AssemblyProgram<'a> {
     /// [`crate::FixedPointMode`].
     pub(crate) fn evaluate_fixed_point(
         &self,
-        evaluator: &Evaluator<'a>,
+        evaluator: &Evaluator<'_>,
         env: &Bindings,
+        cone: Option<&[bool]>,
         max_iterations: usize,
         tolerance: f64,
     ) -> Result<Probability> {
-        let mut rt = self
-            .runtimes
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Runtime::new(self.nodes.len()));
-        let result = self.fixed_point_with(evaluator, env, max_iterations, tolerance, &mut rt);
-        self.runtimes.lock().push(rt);
-        result
+        self.with_runtime(|rt| {
+            self.fixed_point_with(evaluator, env, cone, max_iterations, tolerance, rt)
+        })
     }
 
     fn fixed_point_with(
         &self,
-        evaluator: &Evaluator<'a>,
+        evaluator: &Evaluator<'_>,
         env: &Bindings,
+        cone: Option<&[bool]>,
         max_iterations: usize,
         tolerance: f64,
         rt: &mut Runtime,
     ) -> Result<Probability> {
-        let cone = self.cone.read().clone();
-        let cone = cone.as_deref().map(Vec::as_slice);
         let mut solver: FixedPointSolver<LoopKey> =
             FixedPointSolver::new(evaluator.options().fixed_point, max_iterations, tolerance);
         for _ in 0..max_iterations {
+            evaluator.check_cancel()?;
             self.seed_root_inputs(env, rt)?;
             let (top, cycle_keys, sweep_memo) = {
                 let mut sweep = FpSweep {
@@ -671,15 +659,17 @@ impl<'a> AssemblyProgram<'a> {
                 evaluator.note_fixed_point(&solver);
                 return Ok(top);
             }
+            let mut updates = 0;
             let converged = solver.record_sweep(
                 top.value(),
                 cycle_keys.iter().filter_map(|k| {
                     sweep_memo.get(k).map(|p| {
-                        self.scc_iters[self.scc_of[k.0]].fetch_add(1, Ordering::Relaxed);
+                        updates += 1;
                         (k.clone(), p.value())
                     })
                 }),
             );
+            evaluator.note_scc_iterations(updates);
             if converged {
                 evaluator.note_fixed_point(&solver);
                 return Ok(top);
@@ -697,7 +687,7 @@ impl<'a> AssemblyProgram<'a> {
     /// persistent caches.
     fn eval_node(
         &self,
-        evaluator: &Evaluator<'a>,
+        evaluator: &Evaluator<'_>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
         node: usize,
@@ -718,7 +708,7 @@ impl<'a> AssemblyProgram<'a> {
                         .zip(&rt.inputs[base..base + arity])
                         .all(|(k, v)| *k == v.to_bits());
                 if matches {
-                    self.pin_hits.fetch_add(1, Ordering::Relaxed);
+                    evaluator.note_pin_hit();
                     return Ok(*value);
                 }
             }
@@ -734,10 +724,10 @@ impl<'a> AssemblyProgram<'a> {
         rt.key
             .extend(rt.inputs[base..base + arity].iter().map(|v| v.to_bits()));
         if let Some(p) = self.memo[node].read().get(rt.key.as_slice()) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            evaluator.note_memo(true);
             return Ok(*p);
         }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+        evaluator.note_memo(false);
         let p = self.compute_node(evaluator, rt, cone, node, base, None)?;
         // `rt.key` may have been clobbered by recursion; the node's own
         // registers are still intact (children only grow/shrink `inputs`
@@ -756,7 +746,7 @@ impl<'a> AssemblyProgram<'a> {
     /// whose entries would leak pre-convergence estimates across sweeps.
     fn eval_loop_node(
         &self,
-        evaluator: &Evaluator<'a>,
+        evaluator: &Evaluator<'_>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
         node: usize,
@@ -789,7 +779,7 @@ impl<'a> AssemblyProgram<'a> {
 
     fn compute_node(
         &self,
-        evaluator: &Evaluator<'a>,
+        evaluator: &Evaluator<'_>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
         node: usize,
@@ -820,7 +810,7 @@ impl<'a> AssemblyProgram<'a> {
     #[allow(clippy::too_many_arguments)]
     fn compute_composite(
         &self,
-        evaluator: &Evaluator<'a>,
+        evaluator: &Evaluator<'_>,
         rt: &mut Runtime,
         cone: Option<&[bool]>,
         node: usize,
@@ -828,6 +818,9 @@ impl<'a> AssemblyProgram<'a> {
         scratch: &mut NodeScratch,
         mut fp: Option<&mut FpSweep<'_>>,
     ) -> Result<Probability> {
+        // Poll cancellation where the recursive path does: at every
+        // composite evaluation.
+        evaluator.check_cancel()?;
         let arity = self.nodes[node].formals.len();
         let NodeKind::Composite(comp) = &self.nodes[node].kind else {
             unreachable!("compute_composite called on a simple node");
@@ -986,8 +979,8 @@ impl<'a> AssemblyProgram<'a> {
     /// replaying `augmented_chain`'s builder sequence exactly.
     fn build_chain_cache(
         &self,
-        evaluator: &Evaluator<'a>,
-        comp: &CompositeNode<'a>,
+        evaluator: &Evaluator<'_>,
+        comp: &CompositeNode,
         merged_vals: &[f64],
         fail_vals: &[f64],
     ) -> Result<ChainCache> {
@@ -1118,7 +1111,7 @@ fn solve_cached_chain(
 
 /// Calls `f` with the node index of every call target of `node` (service
 /// calls and connector calls alike), in flow order.
-fn call_targets(node: &Node<'_>, mut f: impl FnMut(usize)) {
+fn call_targets(node: &Node, mut f: impl FnMut(usize)) {
     if let NodeKind::Composite(comp) = &node.kind {
         for state in &comp.states {
             for call in &state.calls {
@@ -1135,7 +1128,7 @@ fn call_targets(node: &Node<'_>, mut f: impl FnMut(usize)) {
 /// `(scc_of, scc_count, in_cycle)`: SCC ids ascend callees-first (every
 /// SCC's id is lower than the ids of the SCCs calling into it), and
 /// `in_cycle[v]` marks members of nontrivial SCCs and self-loops.
-fn condense(nodes: &[Node<'_>]) -> (Vec<usize>, usize, Vec<bool>) {
+fn condense(nodes: &[Node]) -> (Vec<usize>, usize, Vec<bool>) {
     let n = nodes.len();
     let adj: Vec<Vec<usize>> = nodes
         .iter()
@@ -1217,7 +1210,7 @@ fn condense(nodes: &[Node<'_>]) -> (Vec<usize>, usize, Vec<bool>) {
 struct ProgramBuilder<'a> {
     assembly: &'a Assembly,
     index: HashMap<ServiceId, usize>,
-    nodes: Vec<Option<Node<'a>>>,
+    nodes: Vec<Option<Node>>,
     formals: Vec<Vec<String>>,
     visiting: Vec<ServiceId>,
     first_cycle: Option<Vec<String>>,
@@ -1254,12 +1247,12 @@ impl<'a> ProgramBuilder<'a> {
         Ok(idx)
     }
 
-    fn lower_service(&mut self, service: &ServiceId, idx: usize) -> Result<Node<'a>> {
+    fn lower_service(&mut self, service: &ServiceId, idx: usize) -> Result<Node> {
         match self.assembly.require(service)? {
             Service::Simple(simple) => Ok(Node {
                 id: service.clone(),
                 formals: self.formals[idx].clone(),
-                kind: NodeKind::Simple(simple),
+                kind: NodeKind::Simple(simple.clone()),
             }),
             Service::Composite(composite) => {
                 let formals = self.formals[idx].clone();
@@ -1290,7 +1283,7 @@ impl<'a> ProgramBuilder<'a> {
                             target_arity: self.formals[target].len(),
                             actuals,
                             connector,
-                            internal: &call.internal_failure,
+                            internal: call.internal_failure.clone(),
                         });
                     }
                     states.push(StateNode {
@@ -1324,7 +1317,7 @@ impl<'a> ProgramBuilder<'a> {
                     .map(|((from, to), trans)| {
                         let from_state = match &from {
                             StateId::Start => None,
-                            named => states.iter().position(|s: &StateNode<'a>| s.id == *named),
+                            named => states.iter().position(|s: &StateNode| s.id == *named),
                         };
                         MergedEdge {
                             from,
@@ -1355,7 +1348,7 @@ impl<'a> ProgramBuilder<'a> {
 
     fn lower_actuals(
         &self,
-        actual_params: &'a [(String, archrel_expr::Expr)],
+        actual_params: &[(String, archrel_expr::Expr)],
         formals: &[String],
         target: usize,
     ) -> Result<Vec<ActualParam>> {
@@ -1375,7 +1368,7 @@ impl<'a> ProgramBuilder<'a> {
 /// Gathers the target's *used* formal parameters in first-use order — the
 /// order the recursive evaluator reads (and so would first report missing)
 /// each name.
-fn collect_root_inputs(root: &Node<'_>) -> Vec<RootInput> {
+fn collect_root_inputs(root: &Node) -> Vec<RootInput> {
     let mut inputs: Vec<RootInput> = Vec::new();
     let mut push = |slot: usize, name: &str| {
         if !inputs.iter().any(|ri| ri.slot == slot) {

@@ -10,7 +10,8 @@
 //! evaluator's sighting rule.
 
 use archrel_core::{
-    CacheStats, CoreError, CycleMode, EvalOptions, Evaluator, FixedPointMode, SolverPolicy,
+    CacheStats, CancelToken, CoreError, CycleMode, EvalOptions, Evaluator, FixedPointMode,
+    SolverPolicy,
 };
 use archrel_expr::{Bindings, Expr};
 use archrel_model::{
@@ -257,6 +258,41 @@ fn both_engines_and_modes_surface_diverged_with_the_iteration_budget() {
                 }
                 other => panic!("{engine:?}/{mode:?}: expected FixedPointDiverged, got {other:?}"),
             }
+        }
+    }
+}
+
+/// Regression: a tripped token stops the compiled fixed-point driver as
+/// it stops the recursive sweeps. The cyclic program path never reads the
+/// value cache, so it used to re-run its sweeps to a converged value
+/// under a cancelled token.
+#[test]
+fn both_engines_stop_on_a_tripped_token() {
+    let assembly = two_member_mesh(0.9, 1e-3);
+    let env = Bindings::new();
+    for engine in ENGINES {
+        for mode in [FixedPointMode::Plain, FixedPointMode::Aitken] {
+            let token = CancelToken::new();
+            let evaluator = Evaluator::with_options(&assembly, options(mode, 10_000, 1e-12))
+                .with_cancellation(token.clone());
+            if engine == Engine::Program {
+                // A batch of two compiles the program; both points converge.
+                for r in evaluator.failure_probabilities(&"a".into(), &[&env, &env]) {
+                    r.expect("fixed point converges");
+                }
+            }
+            token.cancel();
+            let result = evaluator.failure_probability(&"a".into(), &env);
+            let compiled = u64::from(engine == Engine::Program);
+            assert_eq!(
+                evaluator.cache_stats().programs_compiled,
+                compiled,
+                "{engine:?}/{mode:?}"
+            );
+            assert!(
+                matches!(result, Err(CoreError::Cancelled)),
+                "{engine:?}/{mode:?}: expected Cancelled, got {result:?}"
+            );
         }
     }
 }

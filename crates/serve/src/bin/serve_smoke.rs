@@ -1,7 +1,9 @@
 //! End-to-end smoke driver for the daemon, used by CI.
 //!
 //! Boots the *real* CLI binary (`archrel serve`), then drives it the way a
-//! fleet of clients would: loads a model, hot-swaps it, fires concurrent
+//! fleet of clients would: checks that predicts with distinct bindings on
+//! one parameterised model compile one shared program (`stats` reports
+//! `programs_compiled == 1`), loads a model, hot-swaps it, fires concurrent
 //! queries from several connections, throws a hostile oversized request at
 //! it, and finally asks it to shut down — asserting a typed response at
 //! every step and a clean exit (status 0) at the end.
@@ -24,6 +26,12 @@ const MODEL_V1: &str = "blackbox net(x) { pfail: 0.02; } \
 // compiled plan warm.
 const MODEL_V2: &str = "blackbox net(x) { pfail: 0.05; } \
     service app() { state work { call net(x: 1); } \
+    start -> work : 1; work -> end : 1; }";
+
+// A parameterised model: request-scoped evaluators over its catalog entry
+// share one compiled program, which the second request compiles.
+const MODEL_PARAM: &str = "blackbox net(x) { pfail_per_unit: 1e-4; } \
+    service app(n) { state work { call net(x: n); } \
     start -> work : 1; work -> end : 1; }";
 
 fn fail(step: &str, detail: impl std::fmt::Display, daemon: &mut Child) -> ! {
@@ -89,6 +97,37 @@ fn main() {
     std::thread::spawn(move || for _ in lines {});
 
     let mut admin = Client::connect_tcp(&addr).unwrap_or_else(|e| fail("connect", e, &mut daemon));
+
+    // Shared programs, gated by a counter: predicts with distinct bindings
+    // on one parameterised entry compile its program exactly once.
+    let load = format!(
+        r#"{{"id":"l0","op":"load","name":"p","source":{}}}"#,
+        archrel_serve::json::write(&JsonValue::String(MODEL_PARAM.to_string()))
+    );
+    let v = admin
+        .roundtrip(&load)
+        .unwrap_or_else(|e| fail("load-param", e, &mut daemon));
+    expect_ok("load-param", &v, &mut daemon);
+    for n in [8, 16, 32, 64] {
+        let line = format!(
+            r#"{{"id":"n{n}","op":"predict","assembly":"p","service":"app","bindings":{{"n":{n}}}}}"#
+        );
+        let v = admin
+            .roundtrip(&line)
+            .unwrap_or_else(|e| fail("predict-param", e, &mut daemon));
+        expect_ok("predict-param", &v, &mut daemon);
+    }
+    let v = admin
+        .roundtrip(r#"{"id":"s0","op":"stats"}"#)
+        .unwrap_or_else(|e| fail("stats", e, &mut daemon));
+    let compiled = field_f64(&expect_ok("stats", &v, &mut daemon), "programs_compiled");
+    if compiled != Some(1.0) {
+        fail(
+            "shared-program",
+            format!("4 distinct predicts on one entry compiled {compiled:?} programs, want 1"),
+            &mut daemon,
+        );
+    }
 
     // Load, predict, hot-swap, predict again: the number must move.
     let load = format!(
@@ -229,5 +268,5 @@ fn main() {
         eprintln!("serve_smoke FAILED: daemon exited with {status}");
         std::process::exit(1);
     }
-    println!("serve_smoke: ok (hot-swap, 4x25 concurrent bitwise-identical queries, hostile oversized request, clean shutdown)");
+    println!("serve_smoke: ok (one shared program per entry, hot-swap, 4x25 concurrent bitwise-identical queries, hostile oversized request, clean shutdown)");
 }

@@ -30,10 +30,12 @@ pub struct CatalogEntry {
     /// on every successful swap.
     pub version: u64,
     /// Shared `(service, parameters)` → probability memo for this exact
-    /// model content: every request-scoped evaluator over this entry
-    /// attaches it, so a repeated query is a memo hit instead of a fresh
-    /// solve. Fresh per load — cached values bake the numbers in, so a
-    /// swap (even a numeric-only one) must start clean, while the
+    /// model content, with the entry's compiled assembly programs: every
+    /// request-scoped evaluator over this entry attaches it, so a repeated
+    /// query is a memo hit instead of a fresh solve, and a never-seen one
+    /// runs the target's program once a second request has compiled it.
+    /// Fresh per load — cached values and programs bake the numbers in,
+    /// so a swap (even a numeric-only one) must start clean, while the
     /// structure-keyed plan cache stays warm across it.
     pub values: Arc<ValueCache>,
 }

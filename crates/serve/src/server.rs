@@ -719,6 +719,7 @@ fn execute_control(shared: &Shared, request: &Request) -> Result<JsonValue, Prot
                 ("rank1_solves", num(stats.rank1_solves)),
                 ("full_solves", num(stats.full_solves)),
                 ("memo_hits", num(stats.memo_hits)),
+                ("memo_misses", num(stats.memo_misses)),
                 ("pin_hits", num(stats.pin_hits)),
                 ("programs_compiled", num(stats.programs_compiled)),
                 ("store_hits", num(stats.store_hits)),
@@ -888,8 +889,9 @@ fn resolve(
 }
 
 /// A request-scoped evaluator over a catalog entry: shared plan cache
-/// (structure-keyed, survives swaps), the entry's shared value cache
-/// (content-keyed, fresh per load), and the request's deadline token.
+/// (structure-keyed, survives swaps), the entry's shared value cache and
+/// compiled programs (content-keyed, fresh per load), and the request's
+/// deadline token.
 fn evaluator_for<'a>(
     shared: &Shared,
     entry: &'a crate::catalog::CatalogEntry,

@@ -1,7 +1,8 @@
 //! In-process daemon integration tests: boot a real [`Server`] on a Unix
 //! socket, drive it with real clients, and pin the protocol-visible
 //! behavior — concurrent bitwise-identical answers, hot-swap semantics,
-//! typed timeout and overload errors, and clean shutdown.
+//! one compiled program per catalog entry, typed timeout and overload
+//! errors, and clean shutdown.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -322,6 +323,127 @@ fn stats_reflect_shared_plan_cache_once() {
     // The stats op reads the counter before counting itself: load + 3
     // predicts have been answered at that point.
     assert_eq!(get("requests") as u64, 4);
+    assert!(response(&client.roundtrip(r#"{"op":"shutdown"}"#).unwrap()).ok);
+    runner.join().unwrap();
+}
+
+/// A parameterised model whose sub-service `mid` is called twice per
+/// point with the same actuals, so a compiled program answers the second
+/// call from its memo.
+const PARAM_V1: &str = r#"
+    blackbox net(x) { pfail_per_unit: 1e-4; }
+    service mid(k) {
+      state a { call net(x: k); }
+      start -> a : 1;
+      a -> end : 1;
+    }
+    service app(n) {
+      state one { call mid(k: n); }
+      state two { call mid(k: n); call net(x: 2 * n); }
+      start -> one : 1;
+      one -> two : 1;
+      two -> end : 1;
+    }
+"#;
+
+/// `PARAM_V1` with a different per-unit failure rate: same structure,
+/// new numbers.
+fn param_v2() -> String {
+    PARAM_V1.replace("1e-4", "3e-4")
+}
+
+fn predict_n(client: &mut Client, n: f64) -> f64 {
+    let r = response(
+        &client
+            .roundtrip(&format!(
+                r#"{{"op":"predict","assembly":"m","service":"app","bindings":{{"n":{n}}}}}"#
+            ))
+            .unwrap(),
+    );
+    assert!(r.ok, "predict failed: {:?}", r.error_message);
+    pfail(&r.result.unwrap())
+}
+
+fn stat(client: &mut Client, key: &str) -> u64 {
+    let stats = response(&client.roundtrip(r#"{"op":"stats"}"#).unwrap())
+        .result
+        .unwrap();
+    stats
+        .as_object()
+        .and_then(|o| o.get(key))
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("stats carries {key}")) as u64
+}
+
+/// Request-scoped evaluators over one catalog entry share its compiled
+/// program: the second request compiles it, and every counter lands in
+/// exactly one request, so the daemon reports what one evaluator reports
+/// for the same points.
+#[test]
+fn entry_program_compiles_once_and_counts_each_event_once() {
+    use archrel_core::Evaluator;
+    use archrel_expr::Bindings;
+
+    let assembly = archrel_dsl::parse_assembly(PARAM_V1).unwrap();
+    let app = "app".into();
+    let single = Evaluator::new(&assembly);
+    let (path, runner) = boot(ServeConfig::default(), "shared-program");
+    let mut client = Client::connect_unix(&path).unwrap();
+    assert!(response(&client.roundtrip(&load_line("m", PARAM_V1)).unwrap()).ok);
+    for i in 1..=6 {
+        let n = 16.0 * f64::from(i);
+        let env = Bindings::new().with("n", n);
+        single.failure_probability(&app, &env).unwrap();
+        // A fresh evaluator's first point walks the recursive path.
+        let want = Evaluator::new(&assembly)
+            .failure_probability(&app, &env)
+            .unwrap();
+        assert_eq!(predict_n(&mut client, n).to_bits(), want.value().to_bits());
+    }
+    let want = single.local_stats();
+    assert_eq!(want.programs_compiled, 1);
+    assert!(want.memo_hits > 0, "{want:?}");
+    assert_eq!(stat(&mut client, "programs_compiled"), 1);
+    assert_eq!(stat(&mut client, "memo_hits"), want.memo_hits);
+    assert_eq!(stat(&mut client, "memo_misses"), want.memo_misses);
+    assert_eq!(stat(&mut client, "pin_hits"), want.pin_hits);
+    assert_eq!(stat(&mut client, "value_cache_misses"), want.misses);
+    assert!(response(&client.roundtrip(r#"{"op":"shutdown"}"#).unwrap()).ok);
+    runner.join().unwrap();
+}
+
+/// A numeric-only reload starts from a fresh value cache, so no program
+/// compiled against the old numbers answers for the new version.
+#[test]
+fn numeric_reload_compiles_a_fresh_program() {
+    use archrel_core::Evaluator;
+    use archrel_expr::Bindings;
+
+    let v2 = param_v2();
+    let old = archrel_dsl::parse_assembly(PARAM_V1).unwrap();
+    let new = archrel_dsl::parse_assembly(&v2).unwrap();
+    let app = "app".into();
+    let (path, runner) = boot(ServeConfig::default(), "reload-program");
+    let mut client = Client::connect_unix(&path).unwrap();
+    let points = [8.0, 24.0, 40.0];
+    for (source, assembly, compiled) in [(PARAM_V1, &old, 1), (v2.as_str(), &new, 2)] {
+        assert!(response(&client.roundtrip(&load_line("m", source)).unwrap()).ok);
+        for n in points {
+            let want = Evaluator::new(assembly)
+                .failure_probability(&app, &Bindings::new().with("n", n))
+                .unwrap();
+            assert_eq!(predict_n(&mut client, n).to_bits(), want.value().to_bits());
+        }
+        assert_eq!(stat(&mut client, "programs_compiled"), compiled);
+    }
+    // The numbers moved: the reloaded version's answers are not the old
+    // program's.
+    let at = Bindings::new().with("n", points[2]);
+    let before = Evaluator::new(&old).failure_probability(&app, &at).unwrap();
+    assert_ne!(
+        predict_n(&mut client, points[2]).to_bits(),
+        before.value().to_bits()
+    );
     assert!(response(&client.roundtrip(r#"{"op":"shutdown"}"#).unwrap()).ok);
     runner.join().unwrap();
 }
