@@ -11,39 +11,6 @@ use archrel_model::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// `End` state of a [`synthetic_absorbing_chain`].
-pub const CHAIN_END: u32 = u32::MAX - 1;
-/// `Fail` state of a [`synthetic_absorbing_chain`].
-pub const CHAIN_FAIL: u32 = u32::MAX;
-
-/// A synthetic absorbing chain built directly at the Markov layer — the
-/// shape the augmented chain of a [`SyntheticTopology::Chain`] assembly
-/// takes: transient states `0..pfails.len()`, state `i` stepping to its
-/// successor (or to [`CHAIN_END`] from the last state) with probability
-/// `1 − pfails[i]` and leaking `pfails[i]` to [`CHAIN_FAIL`].
-///
-/// Varying one entry of `pfails` at a time produces the one-parameter
-/// perturbation family of the compiled-plan benchmarks: every member shares
-/// the chain *structure* (as long as `0 < pfails[i] < 1`), so a single
-/// compiled plan evaluates them all.
-///
-/// # Panics
-///
-/// Panics when `pfails` is empty or any entry leaves `(0, 1)`.
-pub fn synthetic_absorbing_chain(pfails: &[f64]) -> Dtmc<u32> {
-    assert!(!pfails.is_empty(), "need at least one transient state");
-    let n = pfails.len();
-    let mut b = DtmcBuilder::new();
-    for (i, &p) in pfails.iter().enumerate() {
-        assert!(p > 0.0 && p < 1.0, "step pfail must lie strictly in (0, 1)");
-        let next = if i + 1 < n { i as u32 + 1 } else { CHAIN_END };
-        b = b
-            .transition(i as u32, next, 1.0 - p)
-            .transition(i as u32, CHAIN_FAIL, p);
-    }
-    b.build().expect("rows sum to one")
-}
-
 /// The Figure 6 sweep grid: `(ϕ₁ values, γ values, list sizes)`.
 ///
 /// List sizes are powers of two from 2⁶ to 2¹³ — the plotted range the
@@ -56,8 +23,8 @@ pub fn fig6_grid() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 }
 
 /// A linear chain of `depth` composite services, each with `width` states;
-/// every state calls a shared CPU and the next service in the chain. Used by
-/// the evaluator-scaling benchmarks.
+/// every state calls a shared CPU and the next service in the chain: a deep
+/// nesting of composite invocations.
 ///
 /// # Errors
 ///
@@ -129,17 +96,6 @@ pub fn replicated_assembly(
         .build()
 }
 
-/// A wide flow with `states` sequential states, each calling the shared CPU
-/// with a parametric cost — sized input for the augmentation/absorption
-/// benchmarks.
-///
-/// # Errors
-///
-/// Propagates model-construction errors (none for valid inputs).
-pub fn wide_flow_assembly(states: usize) -> ModelResult<Assembly> {
-    chain_assembly(1, states)
-}
-
 /// Shape of a [`synthetic_flow_assembly`] flow graph.
 ///
 /// All three are absorbing DAG flows whose augmented chain has `states + 3`
@@ -167,7 +123,8 @@ pub enum SyntheticTopology {
 /// A single composite service whose flow has (about) `states` named states in
 /// the requested topology, every state issuing one call to a shared blackbox
 /// with failure probability `step_pfail`. This is the scalable input for the
-/// dense-vs-sparse solver benchmarks: `states` runs up to ~10⁴.
+/// staged-sweep differential tests and the benchmark's sweep workload: `states`
+/// runs up to ~10⁴.
 ///
 /// `FanOut`/`Mesh` round `states` down to a multiple of the branch count /
 /// layer width (minimum one chain link or layer).

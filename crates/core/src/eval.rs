@@ -71,7 +71,7 @@ pub enum SolverPolicy {
     /// [`AUTO_DENSE_MAX_STATES`] states (or up to
     /// [`AUTO_DENSE_DENSITY_MAX_STATES`] when density ≥
     /// [`AUTO_DENSE_DENSITY`]), the sparse path otherwise. The thresholds
-    /// come from the `sparse_solve` benchmark (`results/sparse_solve.md`).
+    /// come from a dense-vs-sparse sweep (crossover near 64 chain states).
     /// In the sparse regime, a flow *structure* solved at least
     /// [`AUTO_PLAN_MIN_SEEN`] times is promoted to a compiled acyclic plan
     /// (a tape replay that is bitwise-identical to the sparse fast path).
@@ -91,8 +91,8 @@ pub enum SolverPolicy {
     /// from a straight-line tape (acyclic flows) or via Sherman–Morrison
     /// rank-1 incremental re-solves against a compile-time LU factorization
     /// (cyclic flows). The backend of choice for parameter sweeps that
-    /// re-solve the same structure many times; see
-    /// `results/compiled_plan.md`.
+    /// re-solve one structure many times
+    /// (11.6x over `Sparse` at 1024 states).
     Compiled,
 }
 

@@ -29,7 +29,7 @@
 //! results bitwise identical to a fresh full evaluation of the same env
 //! (the staged path by `staged.rs`'s self-check + cone proofs, the
 //! generic path by the program memo's bit-compare guards), which the
-//! streaming differential suites and the `exp_streaming_fleet` bench
+//! streaming differential suites (`streaming_refresh.rs` among them)
 //! enforce end to end.
 
 use std::collections::{BTreeMap, HashMap};

@@ -2,11 +2,11 @@
 //!
 //! Plain successive substitution is the bitwise reference for cyclic
 //! assemblies; Aitken Δ² ([`FixedPointMode::Aitken`]) must agree with it
-//! to 1e-10 on converging meshes, fall back to the raw iterate on
-//! degenerate denominators without changing results, and surface
-//! [`CoreError::FixedPointDiverged`] (with the iteration budget) instead
-//! of returning garbage when the budget is too small — on both the
-//! recursive and the compiled-program engines, each reached by the
+//! to 1e-10 on converging meshes in fewer sweeps, fall back to the raw
+//! iterate on degenerate denominators without changing results, and
+//! surface [`CoreError::FixedPointDiverged`] (with the iteration budget)
+//! instead of returning garbage when the budget is too small — on both
+//! the recursive and the compiled-program engines, each reached by the
 //! evaluator's sighting rule.
 
 use archrel_core::{
@@ -175,6 +175,18 @@ fn aitken_agrees_with_plain_to_1e_10_on_converging_meshes() {
                 "q={q} {engine:?}: {aitken_stats:?}"
             );
             assert_eq!(plain_stats.aitken_accels, 0, "plain must never accelerate");
+            // Acceleration pays off here: fewer sweeps, and no
+            // extrapolation was ever refused.
+            assert!(
+                aitken_stats.fixed_point_sweeps < plain_stats.fixed_point_sweeps,
+                "q={q} {engine:?}: aitken {} vs plain {} sweeps",
+                aitken_stats.fixed_point_sweeps,
+                plain_stats.fixed_point_sweeps
+            );
+            assert_eq!(
+                aitken_stats.aitken_fallbacks, 0,
+                "q={q} {engine:?}: {aitken_stats:?}"
+            );
         }
     }
 }

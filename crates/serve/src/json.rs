@@ -13,7 +13,7 @@
 //! The writer is the inverse: it renders numbers with Rust's
 //! shortest-round-trip `f64` formatting, so a value parsed back from a
 //! response is bit-for-bit the value the engine produced — the property the
-//! `exp_serve` bitwise-equality acceptance check rides on.
+//! daemon's bitwise-equality tests (`daemon.rs`) build on.
 
 use std::collections::BTreeMap;
 use std::fmt;
