@@ -9,12 +9,20 @@
 //! transition out of `i` reweighted by `1 − p(i, Fail)`. Transitions out of
 //! `Start` are left untouched — `Start` represents no real behavior, so no
 //! failure can occur in it.
+//!
+//! The chain's layout comes from the flow's [`FlowIndex`], built once with
+//! the flow: parallel transitions merge per `(from, to)` edge in `StateId`
+//! order, states follow `End` and `Fail` in order of first appearance over
+//! those edges, and each row holds its merged edges before its `→ Fail`
+//! edge. [`augmented_chain`], the staged sweeps and the assembly programs
+//! all build chains through [`build_chain`], so they agree on every label,
+//! row and slot.
 
 use std::collections::BTreeMap;
 
 use archrel_expr::Bindings;
 use archrel_markov::{Dtmc, DtmcBuilder};
-use archrel_model::{CompositeService, Probability, StateId};
+use archrel_model::{CompositeService, FlowIndex, Probability, ServiceId, StateId};
 
 use crate::{CoreError, Result};
 
@@ -40,7 +48,8 @@ impl std::fmt::Display for AugmentedState {
 /// Builds the failure-augmented DTMC of `service` under `env`.
 ///
 /// `state_failures` maps each named flow state to its `p(i, Fail)`; states
-/// absent from the map are treated as failure-free (pure routing states).
+/// absent from the map are treated as failure-free (pure routing states),
+/// and entries naming no state of the flow are ignored.
 ///
 /// # Errors
 ///
@@ -53,75 +62,212 @@ pub fn augmented_chain(
     env: &Bindings,
     state_failures: &BTreeMap<StateId, Probability>,
 ) -> Result<Dtmc<AugmentedState>> {
-    let flow = service.flow();
-
-    // Evaluate all transition probabilities and validate row sums first so
-    // the error messages speak flow language, not Markov language.
-    let mut evaluated: Vec<(StateId, StateId, f64)> = Vec::new();
-    let mut row_sums: BTreeMap<StateId, f64> = BTreeMap::new();
-    for t in flow.transitions() {
-        let p = t.probability.eval(env)?;
-        if !(0.0..=1.0 + 1e-9).contains(&p) {
-            return Err(CoreError::BadTransitions {
-                service: service.id().to_string(),
-                state: t.from.to_string(),
-                sum: p,
-            });
-        }
-        *row_sums.entry(t.from.clone()).or_insert(0.0) += p;
-        evaluated.push((t.from.clone(), t.to.clone(), p));
-    }
-    for (state, sum) in &row_sums {
-        if (sum - 1.0).abs() > 1e-9 {
-            return Err(CoreError::BadTransitions {
-                service: service.id().to_string(),
-                state: state.to_string(),
-                sum: *sum,
-            });
-        }
-    }
-
-    let mut builder = DtmcBuilder::new()
-        .state(AugmentedState::Flow(StateId::End))
-        .state(AugmentedState::Fail);
-
-    // Merge parallel edges (same from/to) before declaring them: distinct
-    // flow transitions may collapse after evaluation.
-    let mut merged: BTreeMap<(StateId, StateId), f64> = BTreeMap::new();
-    for (from, to, p) in evaluated {
-        *merged.entry((from, to)).or_insert(0.0) += p;
-    }
-
-    for ((from, to), p) in merged {
-        let failure = match &from {
-            StateId::Start => Probability::ZERO,
-            named => state_failures
-                .get(named)
+    let failures: Vec<Probability> = service
+        .flow()
+        .states()
+        .iter()
+        .map(|s| {
+            state_failures
+                .get(&s.id)
                 .copied()
-                .unwrap_or(Probability::ZERO),
-        };
-        let scaled = p * failure.complement().value();
-        builder = builder.transition(AugmentedState::Flow(from), AugmentedState::Flow(to), scaled);
-    }
-    for (state, failure) in state_failures {
-        if failure.is_zero() {
-            continue;
-        }
-        builder = builder.transition(
-            AugmentedState::Flow(state.clone()),
-            AugmentedState::Fail,
-            failure.value(),
-        );
-    }
+                .unwrap_or(Probability::ZERO)
+        })
+        .collect();
+    flow_chain(service, env, &failures)
+}
 
-    Ok(builder.build()?)
+/// [`augmented_chain`] over the failure probability of each named state in
+/// declaration order.
+pub(crate) fn flow_chain(
+    service: &CompositeService,
+    env: &Bindings,
+    failures: &[Probability],
+) -> Result<Dtmc<AugmentedState>> {
+    let ps = transition_values(service, env)?;
+    let flow = service.flow();
+    let index = flow.index();
+    let merged: Vec<f64> = (0..index.edge_count())
+        .map(|e| {
+            let failure = FlowIndex::named_position(index.edge(e).0)
+                .map_or(Probability::ZERO, |i| failures[i]);
+            edge_sum(index, e, &ps) * failure.complement().value()
+        })
+        .collect();
+    let fails: Vec<f64> = failures.iter().map(|f| f.value()).collect();
+    let ids = flow.states().iter().map(|s| &s.id);
+    Ok(build_chain(index, ids, &merged, &fails)?.0)
+}
+
+/// Evaluates `service`'s transition probabilities under `env` (in flow
+/// order) and validates them as the augmented chain requires: range checks
+/// first, in flow order; row sums next, in `StateId` order — so the first
+/// bad transition or row is the one reported.
+///
+/// # Errors
+///
+/// See [`augmented_chain`].
+pub(crate) fn transition_values(service: &CompositeService, env: &Bindings) -> Result<Vec<f64>> {
+    let flow = service.flow();
+    let (index, id) = (flow.index(), service.id());
+    let mut ps = Vec::with_capacity(flow.transitions().len());
+    for t in flow.transitions() {
+        ps.push(checked_transition(id, &t.from, t.probability.eval(env)?)?);
+    }
+    if let Some((t, sum)) = first_bad_row(index, &ps) {
+        return Err(bad_transitions(id, &flow.transitions()[t].from, sum));
+    }
+    Ok(ps)
+}
+
+/// `p`, the evaluated probability of a transition out of `from` in
+/// `service`'s flow, when it lies in `[0, 1]` (within 1e-9).
+///
+/// # Errors
+///
+/// [`CoreError::BadTransitions`] when it does not.
+pub(crate) fn checked_transition(service: &ServiceId, from: &StateId, p: f64) -> Result<f64> {
+    if (0.0..=1.0 + 1e-9).contains(&p) {
+        Ok(p)
+    } else {
+        Err(bad_transitions(service, from, p))
+    }
+}
+
+/// The error for a transition out of `from` in `service`'s flow, or for
+/// `from`'s whole row, whose probability is `sum`.
+pub(crate) fn bad_transitions(service: &ServiceId, from: &StateId, sum: f64) -> CoreError {
+    CoreError::BadTransitions {
+        service: service.to_string(),
+        state: from.to_string(),
+        sum,
+    }
+}
+
+/// Checks that state `id`'s evaluated outgoing probabilities `ps`,
+/// accumulated in declaration order from zero, sum to one within 1e-9.
+/// For a row that does not, returns its first transition and its sum.
+pub(crate) fn bad_row(index: &FlowIndex, id: u32, ps: &[f64]) -> Option<(usize, f64)> {
+    let row = index.row(id);
+    let &first = row.first()?;
+    let sum = row.iter().fold(0.0, |s, &t| s + ps[t as usize]);
+    ((sum - 1.0).abs() > 1e-9).then_some((first as usize, sum))
+}
+
+/// The first row, in `StateId` order, that [`bad_row`] rejects.
+pub(crate) fn first_bad_row(index: &FlowIndex, ps: &[f64]) -> Option<(usize, f64)> {
+    index.sorted().iter().find_map(|&id| bad_row(index, id, ps))
+}
+
+/// Probability of merged edge `e` before failure scaling: its transitions'
+/// evaluated probabilities `ps`, accumulated in declaration order from
+/// zero.
+pub(crate) fn edge_sum(index: &FlowIndex, e: usize, ps: &[f64]) -> f64 {
+    index
+        .edge_transitions(e)
+        .iter()
+        .fold(0.0, |s, &t| s + ps[t as usize])
+}
+
+/// Position of the added `Fail` state in the augmented chain.
+const FAIL_POSITION: usize = 1;
+
+/// Where [`build_chain`] put each edge it kept, as `(row, slot)` addresses
+/// into the chain's adjacency (the addresses [`Dtmc::set_edge_probability`]
+/// takes).
+pub(crate) struct ChainSlots {
+    /// Address of each merged edge; `None` for a zero edge.
+    pub(crate) edges: Vec<Option<(usize, usize)>>,
+    /// Address of each named state's `→ Fail` edge (declaration order);
+    /// `None` for failure-free states.
+    pub(crate) fails: Vec<Option<(usize, usize)>>,
+    /// Number of explicit edges in each chain row.
+    pub(crate) row_len: Vec<usize>,
+}
+
+/// Builds the augmented chain of a flow from its merged-edge probabilities
+/// `merged` (already failure-scaled, in the index's edge order) and its
+/// named states' failure probabilities `fails` (declaration order).
+/// `state_ids` yields the named states' ids in declaration order.
+///
+/// The chain's states are `End`, `Fail`, then every other flow state in
+/// order of first appearance over the merged edges, source before target.
+/// Merged edges are declared first, then one `→ Fail` edge per state with
+/// a nonzero failure probability, in `StateId` order. Zero edges are left
+/// out, as the builder would drop them; it validates every other value.
+///
+/// # Errors
+///
+/// The builder's validation errors.
+pub(crate) fn build_chain<'a>(
+    index: &FlowIndex,
+    state_ids: impl Iterator<Item = &'a StateId>,
+    merged: &[f64],
+    fails: &[f64],
+) -> archrel_markov::Result<(Dtmc<AugmentedState>, ChainSlots)> {
+    // Every id appears in some merged edge: `Start` and every named state
+    // emit, and `End` is reachable.
+    let mut position = vec![usize::MAX; index.id_count()];
+    position[FlowIndex::END as usize] = 0;
+    let mut len = FAIL_POSITION + 1;
+    for e in 0..index.edge_count() {
+        let (from, to) = index.edge(e);
+        for id in [from, to] {
+            if position[id as usize] == usize::MAX {
+                position[id as usize] = len;
+                len += 1;
+            }
+        }
+    }
+    let at = |id: u32| position[id as usize];
+
+    let mut labels = vec![AugmentedState::Fail; len];
+    labels[at(FlowIndex::START)] = AugmentedState::Flow(StateId::Start);
+    labels[at(FlowIndex::END)] = AugmentedState::Flow(StateId::End);
+    for (i, id) in state_ids.enumerate() {
+        labels[at(FlowIndex::named_id(i))] = AugmentedState::Flow(id.clone());
+    }
+    let mut builder = DtmcBuilder::with_capacity(len, merged.len() + fails.len());
+    for label in labels {
+        builder = builder.state(label);
+    }
+    let mut row_len = vec![0usize; len];
+    let mut slot = |row: usize, p: f64| {
+        (p != 0.0).then(|| {
+            row_len[row] += 1;
+            (row, row_len[row] - 1)
+        })
+    };
+    let mut edges = Vec::with_capacity(merged.len());
+    for (e, &p) in merged.iter().enumerate() {
+        let (from, to) = index.edge(e);
+        let kept = slot(at(from), p);
+        if kept.is_some() {
+            builder = builder.transition_by_index(at(from), at(to), p);
+        }
+        edges.push(kept);
+    }
+    let mut fail_slots = vec![None; fails.len()];
+    for &id in index.sorted() {
+        if let Some(i) = FlowIndex::named_position(id) {
+            fail_slots[i] = slot(at(id), fails[i]);
+            if fail_slots[i].is_some() {
+                builder = builder.transition_by_index(at(id), FAIL_POSITION, fails[i]);
+            }
+        }
+    }
+    let slots = ChainSlots {
+        edges,
+        fails: fail_slots,
+        row_len,
+    };
+    Ok((builder.build()?, slots))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use archrel_expr::Expr;
-    use archrel_markov::AbsorbingAnalysis;
+    use archrel_markov::{structure_fingerprint, AbsorbingAnalysis};
     use archrel_model::{FlowBuilder, FlowState};
 
     fn two_state_service(q: f64) -> CompositeService {
@@ -216,6 +362,27 @@ mod tests {
             .unwrap();
         // Only the 1-q branch survives (state 1 always fails).
         assert!((p_end - 0.75).abs() < 1e-12);
+    }
+
+    /// Failure-map keys that name no state of the flow are ignored: the
+    /// chain gains no stray `→ Fail` row.
+    #[test]
+    fn failures_of_unknown_states_are_ignored() {
+        let svc = two_state_service(0.9);
+        let mut with_ghost = failures(0.01, 0.0);
+        with_ghost.insert(StateId::named("ghost"), Probability::new(0.3).unwrap());
+        let chain = augmented_chain(&svc, &Bindings::new(), &with_ghost).unwrap();
+        let expected = augmented_chain(&svc, &Bindings::new(), &failures(0.01, 0.0)).unwrap();
+        assert_eq!(chain, expected);
+        let (start, end) = (
+            AugmentedState::Flow(StateId::Start),
+            AugmentedState::Flow(StateId::End),
+        );
+        assert_eq!(
+            structure_fingerprint(&chain, &start, &end),
+            structure_fingerprint(&expected, &start, &end)
+        );
+        assert_eq!(chain.len(), 5);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Parameter sweeps — reliability curves over a demand range (Fig. 6),
 //! sensitivity stencils, Monte Carlo uncertainty samples, service-selection
-//! enumerations — all reduce to evaluating one [`Assembly`] at many points.
+//! enumerations — all reduce to evaluating one
+//! [`Assembly`](archrel_model::Assembly) at many points.
 //! [`BatchEvaluator`] partitions such a query list across worker threads
 //! that share a single [`Evaluator`], and therefore a single
 //! content-addressed solve cache keyed by `(service, resolved-parameter

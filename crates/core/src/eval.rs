@@ -10,7 +10,7 @@
 //! estimates and bounded by 1.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -25,7 +25,7 @@ use archrel_model::{
 use archrel_store::ArtifactStore;
 use parking_lot::RwLock;
 
-use crate::augment::{augmented_chain, AugmentedState};
+use crate::augment::{flow_chain, AugmentedState};
 use crate::cancel::CancelToken;
 use crate::failprob::{state_failure_probability, RequestFailure};
 pub use crate::fixedpoint::FixedPointMode;
@@ -68,12 +68,12 @@ pub const DEFAULT_FIXED_POINT_TOLERANCE: f64 = 1e-12;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverPolicy {
     /// Pick per chain from state count and edge density: dense LU below
-    /// [`AUTO_DENSE_MAX_STATES`] states (or up to
-    /// [`AUTO_DENSE_DENSITY_MAX_STATES`] when density ≥
-    /// [`AUTO_DENSE_DENSITY`]), the sparse path otherwise. The thresholds
-    /// come from a dense-vs-sparse sweep (crossover near 64 chain states).
-    /// In the sparse regime, a flow *structure* solved at least
-    /// [`AUTO_PLAN_MIN_SEEN`] times is promoted to a compiled acyclic plan
+    /// `AUTO_DENSE_MAX_STATES` (64) states (or up to
+    /// `AUTO_DENSE_DENSITY_MAX_STATES` (256) when density ≥
+    /// `AUTO_DENSE_DENSITY` (0.25)), the sparse path otherwise. The
+    /// thresholds come from a dense-vs-sparse sweep (crossover near 64 chain
+    /// states). In the sparse regime, a flow *structure* solved at least
+    /// `AUTO_PLAN_MIN_SEEN` (2) times is promoted to a compiled acyclic plan
     /// (a tape replay that is bitwise-identical to the sparse fast path).
     /// The sweep drivers (uncertainty, sensitivity, improvement, selection,
     /// fleet refresh) stage such sparse-regime acyclic flows straight into
@@ -1575,11 +1575,8 @@ impl<'a> Evaluator<'a> {
             }
             Service::Composite(composite) => {
                 let states = self.resolve_states(composite, env, ctx)?;
-                let failures: BTreeMap<StateId, Probability> = states
-                    .iter()
-                    .map(|s| (s.state.clone(), s.failure))
-                    .collect();
-                let chain = augmented_chain(composite, env, &failures)?;
+                let failures: Vec<Probability> = states.iter().map(|s| s.failure).collect();
+                let chain = flow_chain(composite, env, &failures)?;
                 let start = AugmentedState::Flow(StateId::Start);
                 let end = AugmentedState::Flow(StateId::End);
                 let solve_started = Instant::now();

@@ -24,8 +24,9 @@
 //!   [`CompiledExpr`] reading the node's registers through pre-resolved
 //!   slot indices ([`CompiledExpr::eval_slots`]);
 //! - each composite's failure-augmented flow skeleton (merged edge list,
-//!   row-sum groups, `Fail`-edge candidates) is precomputed, so per point
-//!   only the numeric transition entries are refreshed in place
+//!   row-sum groups, `Fail`-edge candidates) is read from the flow's
+//!   [`archrel_model::FlowIndex`], so per point only the numeric transition
+//!   entries are refreshed in place
 //!   ([`archrel_markov::Dtmc::set_edge_probability`]) and the compiled
 //!   [`archrel_markov::SolvePlan`] for the structure is pinned per runtime
 //!   instead of re-looked-up by fingerprint.
@@ -93,20 +94,22 @@
 //! and cyclic — under every [`crate::SolverPolicy`] and at any worker
 //! count.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use archrel_expr::{Bindings, CompiledExpr};
-use archrel_markov::{DtmcBuilder, PlanScratch, SolvePlan};
+use archrel_markov::{PlanScratch, SolvePlan};
 use archrel_model::{
-    Assembly, CompletionModel, DependencyModel, InternalFailureModel, Probability, Service,
-    ServiceId, SimpleService, StateId,
+    Assembly, CompletionModel, DependencyModel, FlowIndex, InternalFailureModel, Probability,
+    Service, ServiceId, SimpleService, StateId,
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::augment::AugmentedState;
+use crate::augment::{
+    bad_transitions, build_chain, checked_transition, edge_sum, first_bad_row, AugmentedState,
+};
 use crate::eval::{Evaluator, MAX_DEPTH};
 use crate::failprob::{state_failure_probability, RequestFailure};
 use crate::fixedpoint::FixedPointSolver;
@@ -188,37 +191,12 @@ struct TransNode {
     expr: SlottedExpr,
 }
 
-/// Transitions sharing one source state, in declaration order — the
-/// accumulation group whose sum must be one (`augmented_chain`'s
-/// `row_sums`).
-#[derive(Debug)]
-struct RowGroup {
-    state: StateId,
-    trans: Vec<usize>,
-}
-
-/// Parallel flow transitions collapsed onto one `(from, to)` chain edge, in
-/// the `BTreeMap` order `augmented_chain` declares them.
-#[derive(Debug)]
-struct MergedEdge {
-    from: StateId,
-    to: StateId,
-    trans: Vec<usize>,
-    /// Position into the node's `states` of the source state's failure
-    /// probability; `None` for `Start` (no failure by definition) and for
-    /// sources that are not request-carrying flow states.
-    from_state: Option<usize>,
-}
-
 /// Compiled form of one composite service.
 struct CompositeNode {
     states: Vec<StateNode>,
-    /// Positions into `states` sorted by [`StateId`] — the iteration order
-    /// of the recursive path's `state_failures` B-tree map.
-    sorted_states: Vec<usize>,
     trans: Vec<TransNode>,
-    rows: Vec<RowGroup>,
-    merged: Vec<MergedEdge>,
+    /// The flow's layout: row groups, merged edges and `StateId` order.
+    index: Arc<FlowIndex>,
 }
 
 enum NodeKind {
@@ -250,8 +228,8 @@ struct ChainCache {
     /// `(row, slot)` address of each merged edge's probability; `None` for
     /// edges the builder dropped (evaluated to exactly zero).
     edge_slots: Vec<Option<(usize, usize)>>,
-    /// `(row, slot)` address of each state's `→ Fail` edge, aligned with
-    /// `sorted_states`; `None` for failure-free states.
+    /// `(row, slot)` address of each state's `→ Fail` edge, in declaration
+    /// order; `None` for failure-free states.
     fail_slots: Vec<Option<(usize, usize)>>,
     /// Whether the solver policy routes this structure through the plan
     /// path (recomputed on rebuild — the positivity pattern can change the
@@ -898,49 +876,31 @@ impl AssemblyProgram {
 
         // Phase 2 — transition probabilities, validated per edge then per
         // row exactly like `augmented_chain` (same literals, same order).
+        let service = &self.nodes[node].id;
         scratch.trans_vals.clear();
         for t in &comp.trans {
             let p = t.expr.eval(&rt.inputs[base..base + arity], &mut rt.stack)?;
-            if !(0.0..=1.0 + 1e-9).contains(&p) {
-                return Err(CoreError::BadTransitions {
-                    service: self.nodes[node].id.to_string(),
-                    state: t.from.to_string(),
-                    sum: p,
-                });
-            }
-            scratch.trans_vals.push(p);
+            scratch
+                .trans_vals
+                .push(checked_transition(service, &t.from, p)?);
         }
-        for row in &comp.rows {
-            let mut sum = 0.0;
-            for &ti in &row.trans {
-                sum += scratch.trans_vals[ti];
-            }
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(CoreError::BadTransitions {
-                    service: self.nodes[node].id.to_string(),
-                    state: row.state.to_string(),
-                    sum,
-                });
-            }
+        let index = &comp.index;
+        if let Some((t, sum)) = first_bad_row(index, &scratch.trans_vals) {
+            return Err(bad_transitions(service, &comp.trans[t].from, sum));
         }
 
         // Phase 3 — merge parallel edges and scale by `1 − p(from, Fail)`.
         scratch.merged_vals.clear();
-        for m in &comp.merged {
-            let mut p = 0.0;
-            for &ti in &m.trans {
-                p += scratch.trans_vals[ti];
-            }
-            let failure = match m.from_state {
-                None => Probability::ZERO,
-                Some(si) => scratch.state_failures[si],
-            };
+        for e in 0..index.edge_count() {
+            let failure = FlowIndex::named_position(index.edge(e).0)
+                .map_or(Probability::ZERO, |si| scratch.state_failures[si]);
+            let p = edge_sum(index, e, &scratch.trans_vals);
             scratch.merged_vals.push(p * failure.complement().value());
         }
         scratch.fail_vals.clear();
-        for &si in &comp.sorted_states {
-            scratch.fail_vals.push(scratch.state_failures[si].value());
-        }
+        scratch
+            .fail_vals
+            .extend(scratch.state_failures.iter().map(|f| f.value()));
 
         // Phase 4 — refresh the cached chain skeleton in place; fall back
         // to a full rebuild (which reproduces the builder's validation
@@ -975,8 +935,8 @@ impl AssemblyProgram {
         Ok(Probability::new(success)?.complement())
     }
 
-    /// Builds a fresh chain + slot map for the current numeric values,
-    /// replaying `augmented_chain`'s builder sequence exactly.
+    /// Builds a fresh chain + slot map for the current numeric values
+    /// through `augmented_chain`'s own builder sequence.
     fn build_chain_cache(
         &self,
         evaluator: &Evaluator<'_>,
@@ -984,62 +944,18 @@ impl AssemblyProgram {
         merged_vals: &[f64],
         fail_vals: &[f64],
     ) -> Result<ChainCache> {
-        let mut builder = DtmcBuilder::new()
-            .state(AugmentedState::Flow(StateId::End))
-            .state(AugmentedState::Fail);
-        for (m, &p) in comp.merged.iter().zip(merged_vals) {
-            builder = builder.transition(
-                AugmentedState::Flow(m.from.clone()),
-                AugmentedState::Flow(m.to.clone()),
-                p,
-            );
-        }
-        for (&si, &f) in comp.sorted_states.iter().zip(fail_vals) {
-            if f == 0.0 {
-                continue;
-            }
-            builder = builder.transition(
-                AugmentedState::Flow(comp.states[si].id.clone()),
-                AugmentedState::Fail,
-                f,
-            );
-        }
-        let chain = builder.build()?;
-        let edge_slots = comp
-            .merged
-            .iter()
-            .zip(merged_vals)
-            .map(|(m, &p)| {
-                if p > 0.0 {
-                    chain.edge_position(
-                        &AugmentedState::Flow(m.from.clone()),
-                        &AugmentedState::Flow(m.to.clone()),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let fail_slots = comp
-            .sorted_states
-            .iter()
-            .zip(fail_vals)
-            .map(|(&si, &f)| {
-                if f > 0.0 {
-                    chain.edge_position(
-                        &AugmentedState::Flow(comp.states[si].id.clone()),
-                        &AugmentedState::Fail,
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
+        let index = &comp.index;
+        let (chain, slots) = build_chain(
+            index,
+            comp.states.iter().map(|s| &s.id),
+            merged_vals,
+            fail_vals,
+        )?;
         let try_plan = evaluator.plan_gate(chain.len(), chain.edge_count());
         Ok(ChainCache {
             chain,
-            edge_slots,
-            fail_slots,
+            edge_slots: slots.edges,
+            fail_slots: slots.fails,
             try_plan,
             plan: None,
         })
@@ -1294,52 +1210,24 @@ impl<'a> ProgramBuilder<'a> {
                     });
                 }
 
-                let mut trans = Vec::with_capacity(flow.transitions().len());
-                let mut rows: BTreeMap<StateId, Vec<usize>> = BTreeMap::new();
-                let mut merged_map: BTreeMap<(StateId, StateId), Vec<usize>> = BTreeMap::new();
-                for (i, t) in flow.transitions().iter().enumerate() {
-                    trans.push(TransNode {
-                        from: t.from.clone(),
-                        expr: SlottedExpr::compile(&t.probability, &formals)?,
-                    });
-                    rows.entry(t.from.clone()).or_default().push(i);
-                    merged_map
-                        .entry((t.from.clone(), t.to.clone()))
-                        .or_default()
-                        .push(i);
-                }
-                let rows = rows
-                    .into_iter()
-                    .map(|(state, trans)| RowGroup { state, trans })
-                    .collect();
-                let merged = merged_map
-                    .into_iter()
-                    .map(|((from, to), trans)| {
-                        let from_state = match &from {
-                            StateId::Start => None,
-                            named => states.iter().position(|s: &StateNode| s.id == *named),
-                        };
-                        MergedEdge {
-                            from,
-                            to,
-                            trans,
-                            from_state,
-                        }
+                let trans = flow
+                    .transitions()
+                    .iter()
+                    .map(|t| {
+                        Ok(TransNode {
+                            from: t.from.clone(),
+                            expr: SlottedExpr::compile(&t.probability, &formals)?,
+                        })
                     })
-                    .collect();
-
-                let mut sorted_states: Vec<usize> = (0..states.len()).collect();
-                sorted_states.sort_by(|&a, &b| states[a].id.cmp(&states[b].id));
+                    .collect::<Result<Vec<_>>>()?;
 
                 Ok(Node {
                     id: service.clone(),
                     formals,
                     kind: NodeKind::Composite(CompositeNode {
                         states,
-                        sorted_states,
                         trans,
-                        rows,
-                        merged,
+                        index: Arc::clone(flow.index()),
                     }),
                 })
             }

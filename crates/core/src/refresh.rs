@@ -10,7 +10,7 @@
 //! full re-solve:
 //!
 //! 1. **Staged delta rows.** Services whose evaluation compiles to a
-//!    [`StagedSweep`](crate::staged::StagedSweep) keep a staged env
+//!    `StagedSweep` (a crate-internal row stager) keep a staged env
 //!    center; a delta re-runs only the union of the moved parameters'
 //!    dependency cones (`stage_env_deltas`), patches the plan's parameter
 //!    row in place, and replays the back-substitution tape — no

@@ -108,28 +108,17 @@ pub fn binding_sensitivities_with_workers(
     env: &Bindings,
     workers: usize,
 ) -> Result<Vec<Sensitivity>> {
-    struct Probe {
-        name: String,
+    struct Probe<'a> {
+        name: &'a str,
         x0: f64,
         h: f64,
-        // Probe value for each stencil point: [x0 + h, x0 - h, x0].
-        envs: [Bindings; 3],
     }
-    let probes: Vec<Probe> = env
+    let probes: Vec<Probe<'_>> = env
         .iter()
-        .map(|(name, x0)| {
-            let h = step(x0);
-            let at = |x: f64| {
-                let mut perturbed = env.clone();
-                perturbed.insert(name, x);
-                perturbed
-            };
-            Probe {
-                name: name.to_string(),
-                x0,
-                h,
-                envs: [at(x0 + h), at(x0 - h), at(x0)],
-            }
+        .map(|(name, x0)| Probe {
+            name,
+            x0,
+            h: step(x0),
         })
         .collect();
 
@@ -140,10 +129,12 @@ pub fn binding_sensitivities_with_workers(
     // when the assembly-program path answers.
     let varied: Vec<String> = env.iter().map(|(name, _)| name.to_string()).collect();
     evaluator.declare_varied(service, &varied);
-    let flat: Vec<&Bindings> = probes.iter().flat_map(|p| p.envs.iter()).collect();
-    // Which binding each flattened probe perturbs — the staged path uses
-    // it to restage only that binding's dependency cone per probe.
-    let names: Vec<&str> = probes.iter().flat_map(|p| [p.name.as_str(); 3]).collect();
+    // Each stencil point as the one binding it moves and its value:
+    // [x0 + h, x0 - h, x0] per probe.
+    let points: Vec<(&str, f64)> = probes
+        .iter()
+        .flat_map(|p| [(p.name, p.x0 + p.h), (p.name, p.x0 - p.h), (p.name, p.x0)])
+        .collect();
     // Staged fast path: when the target compiles to a staged sweep, every
     // probe's parameter row is generated directly from the stencil env —
     // no per-probe state resolution or chain build — and replayed through
@@ -158,8 +149,19 @@ pub fn binding_sensitivities_with_workers(
     )
     .unwrap_or(None);
     let values = match &staged {
-        Some(sweep) => staged_probes(sweep, evaluator, service, env, &names, &flat, workers),
-        None => striped_probabilities(evaluator, service, &flat, workers),
+        Some(sweep) => staged_probes(sweep, evaluator, service, env, &points, workers),
+        None => {
+            let envs: Vec<Bindings> = points
+                .iter()
+                .map(|&(name, x)| {
+                    let mut perturbed = env.clone();
+                    perturbed.insert(name, x);
+                    perturbed
+                })
+                .collect();
+            let flat: Vec<&Bindings> = envs.iter().collect();
+            striped_probabilities(evaluator, service, &flat, workers)
+        }
     };
     let mut values = values.into_iter().map(|r| r.map(|p| p.value()));
     let mut out = Vec::with_capacity(probes.len());
@@ -174,7 +176,7 @@ pub fn binding_sensitivities_with_workers(
             derivative * probe.x0 / value
         };
         out.push(Sensitivity {
-            name: probe.name.clone(),
+            name: probe.name.to_string(),
             at: probe.x0,
             derivative,
             elasticity,
@@ -203,24 +205,24 @@ pub(crate) fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Evaluate every probe env through a staged sweep: each row is generated
-/// straight from the stencil env — no per-probe state resolution or chain
-/// build — then replayed through lane-blocked tapes. The stencil contract
-/// (each probe moves exactly one binding, `names[i]`) lets the sweep stage
-/// the center once and restage only each probe's dependency cone —
-/// bitwise what full staging computes. Probes whose
-/// values change the flow structure fall back to the generic evaluator,
-/// which is bitwise-identical on compiled structures.
+/// Evaluate every stencil point through a staged sweep: each row is
+/// generated straight from the stencil env — no per-probe state resolution
+/// or chain build — then replayed through lane-blocked tapes. The stencil
+/// contract (point `i` moves exactly one binding of `center_env`,
+/// `points[i].0`, to `points[i].1`) lets the sweep stage the center once
+/// and restage only each probe's dependency cone — bitwise what full
+/// staging computes. Each worker moves that one binding in its own copy of
+/// the center env and moves it back after the probe. Probes whose values
+/// change the flow structure fall back to the generic evaluator, which is
+/// bitwise-identical on compiled structures.
 fn staged_probes(
     sweep: &StagedSweep,
     evaluator: &Evaluator<'_>,
     service: &ServiceId,
     center_env: &Bindings,
-    names: &[&str],
-    envs: &[&Bindings],
+    points: &[(&str, f64)],
     workers: usize,
 ) -> Vec<Result<Probability>> {
-    debug_assert_eq!(names.len(), envs.len());
     let plans = evaluator.plan_cache();
     // A center that fails to stage sends every probe through full
     // staging, which reports any error probe by probe exactly as before.
@@ -231,7 +233,8 @@ fn staged_probes(
             .unwrap_or(None)
     };
     let center = center.as_ref();
-    striped(envs.len(), workers, |stripe| {
+    striped(points.len(), workers, |stripe| {
+        let mut probe_env = center_env.clone();
         let mut acc = FlowBlockAccumulator::new(Arc::clone(plans));
         let mut success = vec![f64::NAN; stripe.len()];
         let mut results: Vec<Option<Result<Probability>>> = Vec::with_capacity(stripe.len());
@@ -246,10 +249,12 @@ fn staged_probes(
                 results[pos] = Some(Err(err));
                 continue;
             }
+            let (name, x) = points[i];
+            let center_x = probe_env.insert(name, x);
             let stage_started = Instant::now();
             let staging = match center {
-                Some(c) => sweep.stage_env_delta(c, names[i], envs[i], &mut scratch),
-                None => sweep.stage_env(envs[i], &mut scratch),
+                Some(c) => sweep.stage_env_delta(c, name, &probe_env, &mut scratch),
+                None => sweep.stage_env(&probe_env, &mut scratch),
             };
             stage_nanos += u64::try_from(stage_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             match staging {
@@ -260,9 +265,12 @@ fn staged_probes(
                     }
                 }
                 Ok(Staging::Fallback) => {
-                    results[pos] = Some(evaluator.failure_probability(service, envs[i]));
+                    results[pos] = Some(evaluator.failure_probability(service, &probe_env));
                 }
                 Err(err) => results[pos] = Some(Err(err)),
+            }
+            if let Some(center_x) = center_x {
+                probe_env.insert(name, center_x);
             }
         }
         plans.record_stage_nanos(stage_nanos);
@@ -578,7 +586,10 @@ mod tests {
                 flat_owned.push((name.to_string(), p));
             }
         }
-        let names: Vec<&str> = flat_owned.iter().map(|(n, _)| n.as_str()).collect();
+        let points: Vec<(&str, f64)> = flat_owned
+            .iter()
+            .map(|(n, p)| (n.as_str(), p.get(n).unwrap()))
+            .collect();
         let flat: Vec<&Bindings> = flat_owned.iter().map(|(_, p)| p).collect();
         let reference = {
             let eval = Evaluator::with_options(&assembly, options);
@@ -589,7 +600,7 @@ mod tests {
             let sweep = StagedSweep::compile(&assembly, &service, &env, eval.plan_cache(), options)
                 .unwrap()
                 .expect("assembly is stageable");
-            let staged = staged_probes(&sweep, &eval, &service, &env, &names, &flat, workers);
+            let staged = staged_probes(&sweep, &eval, &service, &env, &points, workers);
             assert_eq!(reference.len(), staged.len());
             for (r, s) in reference.iter().zip(&staged) {
                 let (r, s) = (r.as_ref().unwrap(), s.as_ref().unwrap());

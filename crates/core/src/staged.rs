@@ -13,11 +13,17 @@
 //! baseline parameter row, and hand the row straight to the lane-8 tape
 //! replay.
 //!
-//! [`StagedSweep::compile`] performs that reduction once. It deliberately
-//! over-verifies itself: after building the slot map it reconstructs the
-//! baseline row from its own recipes and requires a **bitwise** match
-//! against [`SolvePlan::parameters_into`] on the real augmented chain —
-//! on any mismatch the caller silently falls back to the generic path.
+//! [`StagedSweep::compile`] performs that reduction once. The flow's
+//! structure — row groups, merged edges, `StateId` order — comes from the
+//! flow's [`archrel_model::FlowIndex`], built once with the flow, and the
+//! slot of every chain edge from the augment step's own chain build;
+//! compile interns the call and state recipes and evaluates the baseline
+//! but re-derives no structure. It deliberately over-verifies itself:
+//! after building the slot map it
+//! reconstructs the baseline row from its own recipes and requires a
+//! **bitwise** match against [`SolvePlan::parameters_into`] on the real
+//! augmented chain — on any mismatch the caller silently falls back to the
+//! generic path.
 //! Per point, a staged row is only used when the failure structure is
 //! provably unchanged (no state failure probability crossed 0 or 1, no
 //! merged transition edge appeared or vanished); otherwise the point
@@ -28,17 +34,21 @@
 //! scaling), in the same order — staged and generic results are therefore
 //! bitwise identical, not merely close.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use archrel_expr::{Bindings, Expr};
 use archrel_markov::{structure_fingerprint, PlanScratch, SolvePlan};
 use archrel_model::{
-    Assembly, CompletionModel, DependencyModel, FailureModel, InternalFailureModel, Probability,
-    Service, ServiceCall, ServiceId, SimpleService, StateId,
+    Assembly, CompletionModel, DependencyModel, FailureModel, FlowIndex, FlowState,
+    InternalFailureModel, Probability, Service, ServiceCall, ServiceId, SimpleService, StateId,
 };
 
-use crate::augment::{augmented_chain, AugmentedState};
+use crate::augment::{
+    bad_row, bad_transitions, build_chain, checked_transition, edge_sum, transition_values,
+    AugmentedState,
+};
 use crate::eval::{EvalOptions, PlanCache, PlanEntry};
 use crate::failprob::{state_failure_probability, RequestFailure};
 use crate::improvement::{scale_failure_model, scale_internal_model, Lever};
@@ -97,21 +107,19 @@ struct CallRecipe {
 /// recipes. Sweeps over flows with many *identical* states (the synthetic
 /// benchmark chains, tier-replicated architectures) collapse to a handful
 /// of recipes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct StateRecipe {
     completion: CompletionModel,
     dependency: DependencyModel,
     calls: Vec<usize>,
 }
 
-/// One merged flow edge (`from → to` after parallel-edge merging), as the
+/// One merged flow edge (the flow index's edge of the same number), as the
 /// augment step sees it.
 #[derive(Debug, Clone)]
 struct EdgeRecipe {
     /// Baseline merged probability (before failure scaling).
     base_p: f64,
-    /// Indices into the transition table, in flow order (the merge order).
-    trans: Vec<usize>,
     /// Failure-scaling state recipe (`None` for `Start`: no failure there).
     state: Option<usize>,
     /// Parameter-row slot, when the baseline chain kept this edge.
@@ -125,19 +133,11 @@ struct TransRecipe {
     expr: Expr,
 }
 
-/// Row-sum validation unit for env sweeps: one source state's transitions,
-/// in the order the augment step checks them.
-#[derive(Debug, Clone)]
-struct RowCheck {
-    from: StateId,
-    trans: Vec<usize>,
-}
-
 /// Everything that can move when exactly one env binding moves: the
 /// dependency cone of one formal parameter through the staged recipes.
 /// Index vectors are ascending, so incremental restaging visits entries
 /// in the same order full staging does — first-error agreement depends
-/// on it.
+/// on it. `rows` holds positions in the flow index's `StateId` order.
 #[derive(Debug, Clone, Default)]
 struct ParamDeps {
     calls: Vec<usize>,
@@ -218,11 +218,12 @@ pub(crate) struct StagedSweep {
     calls: Vec<CallRecipe>,
     states: Vec<StateRecipe>,
     base_fps: Vec<Probability>,
+    /// The flow's layout: row groups, merged edges and `StateId` order.
+    index: Arc<FlowIndex>,
     edges: Vec<EdgeRecipe>,
     /// `(state recipe, row slot)` of every baseline `→ Fail` edge.
     fail_slots: Vec<(usize, usize)>,
     transitions: Vec<TransRecipe>,
-    rows: Vec<RowCheck>,
 }
 
 impl StagedSweep {
@@ -255,49 +256,55 @@ impl StagedSweep {
         let Some(Service::Composite(composite)) = assembly.service(service) else {
             return Ok(None);
         };
+        let flow = composite.flow();
+        let index = flow.index();
         // The augmented chain adds at most `Start`, `End` and `Fail` to the
         // flow's states. A policy that would not compile even the largest,
         // edge-free chain of that size (`Auto` on a small flow, `Dense`,
         // `Sparse`) declines before any recipe is built.
-        let max_states = composite.flow().states().len() + 3;
+        let max_states = flow.states().len() + 3;
         if options.solver.plan_compilation(max_states, 0).is_none() {
             return Ok(None);
         }
 
         // Intern every call target / connector; any non-simple callee means
-        // recursive resolution the recipe form cannot express.
+        // recursive resolution the recipe form cannot express. Equal calls
+        // (and states) compile to equal recipes, so each distinct one
+        // compiles once, in first-appearance order.
         let mut simples: Vec<SimpleEntry> = Vec::new();
         let mut calls: Vec<CallRecipe> = Vec::new();
         let mut states: Vec<StateRecipe> = Vec::new();
-        let mut state_recipe_of: BTreeMap<StateId, usize> = BTreeMap::new();
-        for state in composite.flow().states() {
+        let mut call_ids: HashMap<Same<&ServiceCall>, usize> = HashMap::new();
+        let mut state_ids: HashMap<Same<&FlowState>, usize> = HashMap::new();
+        // State recipe of each flow state, in declaration order.
+        let mut state_recipe = Vec::with_capacity(flow.states().len());
+        for state in flow.states() {
+            if let Some(&idx) = state_ids.get(&Same(state)) {
+                state_recipe.push(idx);
+                continue;
+            }
             let mut call_idx = Vec::with_capacity(state.calls.len());
             for call in &state.calls {
-                let Some(recipe) = compile_call(assembly, call, env, &mut simples)? else {
-                    return Ok(None);
-                };
-                let idx = match calls.iter().position(|c| *c == recipe) {
-                    Some(idx) => idx,
+                let idx = match call_ids.get(&Same(call)) {
+                    Some(&idx) => idx,
                     None => {
+                        let Some(recipe) = compile_call(assembly, call, env, &mut simples)? else {
+                            return Ok(None);
+                        };
+                        call_ids.insert(Same(call), calls.len());
                         calls.push(recipe);
                         calls.len() - 1
                     }
                 };
                 call_idx.push(idx);
             }
-            let recipe = StateRecipe {
+            state_ids.insert(Same(state), states.len());
+            state_recipe.push(states.len());
+            states.push(StateRecipe {
                 completion: state.completion,
                 dependency: state.dependency,
                 calls: call_idx,
-            };
-            let idx = match states.iter().position(|s| *s == recipe) {
-                Some(idx) => idx,
-                None => {
-                    states.push(recipe);
-                    states.len() - 1
-                }
-            };
-            state_recipe_of.insert(state.id.clone(), idx);
+            });
         }
 
         // Baseline per-recipe requests and state failure probabilities —
@@ -318,79 +325,35 @@ impl StagedSweep {
             )?);
         }
 
-        // Transition table + merged edges, replicating the augment step's
-        // evaluation order, validation, and BTreeMap merge order.
-        let mut transitions = Vec::new();
-        let mut trans_base = Vec::new();
-        for t in composite.flow().transitions() {
-            let p = t.probability.eval(env)?;
-            if !(0.0..=1.0 + 1e-9).contains(&p) {
-                return Err(CoreError::BadTransitions {
-                    service: composite.id().to_string(),
-                    state: t.from.to_string(),
-                    sum: p,
-                });
-            }
-            transitions.push(TransRecipe {
+        // Transition values, merged edges and the real baseline chain,
+        // through the augment step's own evaluation, validation and
+        // builder: the staged fingerprint and rows match the generic path's.
+        let trans_base = transition_values(composite, env)?;
+        let transitions: Vec<TransRecipe> = flow
+            .transitions()
+            .iter()
+            .map(|t| TransRecipe {
                 from: t.from.clone(),
                 expr: t.probability.clone(),
-            });
-            trans_base.push((t.from.clone(), t.to.clone(), p));
-        }
-        let mut row_map: BTreeMap<StateId, Vec<usize>> = BTreeMap::new();
-        for (ti, (from, _, _)) in trans_base.iter().enumerate() {
-            row_map.entry(from.clone()).or_default().push(ti);
-        }
-        let rows: Vec<RowCheck> = row_map
-            .into_iter()
-            .map(|(from, trans)| RowCheck { from, trans })
+            })
             .collect();
-        for rc in &rows {
-            let sum: f64 = rc.trans.iter().fold(0.0, |s, &ti| s + trans_base[ti].2);
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(CoreError::BadTransitions {
-                    service: composite.id().to_string(),
-                    state: rc.from.to_string(),
-                    sum,
-                });
-            }
-        }
-        let mut merged: BTreeMap<(StateId, StateId), (f64, Vec<usize>)> = BTreeMap::new();
-        for (ti, (from, to, p)) in trans_base.iter().enumerate() {
-            let slot = merged.entry((from.clone(), to.clone())).or_default();
-            slot.0 += p;
-            slot.1.push(ti);
-        }
-        let mut edges = Vec::with_capacity(merged.len());
-        let mut edge_of: BTreeMap<(StateId, StateId), usize> = BTreeMap::new();
-        for ((from, to), (base_p, trans)) in merged {
-            let state = match &from {
-                StateId::Start => None,
-                named => match state_recipe_of.get(named) {
-                    Some(&idx) => Some(idx),
-                    // A source state outside the flow's state list would be
-                    // failure-free in augment; the builder rejects such
-                    // flows, so just decline to stage.
-                    None => return Ok(None),
-                },
-            };
-            edge_of.insert((from, to), edges.len());
-            edges.push(EdgeRecipe {
-                base_p,
-                trans,
-                state,
+        let mut edges: Vec<EdgeRecipe> = (0..index.edge_count())
+            .map(|e| EdgeRecipe {
+                base_p: edge_sum(index, e, &trans_base),
+                state: FlowIndex::named_position(index.edge(e).0).map(|i| state_recipe[i]),
                 slot: None,
-            });
-        }
-
-        // The real baseline chain and its plan. Going through the same
-        // augment + cache entry the evaluator uses guarantees the staged
-        // fingerprint matches the generic path's.
-        let failures: BTreeMap<StateId, Probability> = state_recipe_of
-            .iter()
-            .map(|(id, &i)| (id.clone(), base_fps[i]))
+            })
             .collect();
-        let chain = augmented_chain(composite, env, &failures)?;
+        let merged: Vec<f64> = edges
+            .iter()
+            .map(|e| {
+                let failure = e.state.map_or(Probability::ZERO, |s| base_fps[s]);
+                e.base_p * failure.complement().value()
+            })
+            .collect();
+        let fails: Vec<f64> = state_recipe.iter().map(|&s| base_fps[s].value()).collect();
+        let (chain, slots) =
+            build_chain(index, flow.states().iter().map(|s| &s.id), &merged, &fails)?;
         let start = AugmentedState::Flow(StateId::Start);
         let end = AugmentedState::Flow(StateId::End);
         // Stage exactly the chains the evaluator itself would answer from a
@@ -412,34 +375,25 @@ impl StagedSweep {
             Ok(_) | Err(_) => return Ok(None),
         };
 
-        // Slot map: walk the chain's transient adjacency exactly as
-        // `parameters_into` does and attribute each slot to its edge.
-        let mut fail_slots = Vec::new();
+        // Slot map: `parameters_into` concatenates the transient rows in
+        // chain order, so an edge's slot is its row's offset plus its
+        // place in the row. Edges of absorbing rows get no slot.
+        let mut row_offset = vec![None; chain.len()];
         let mut slot = 0usize;
         for i in chain.transient_indices() {
-            let from = chain.state_at(i);
-            let Ok(successors) = chain.successors(from) else {
-                return Ok(None);
-            };
-            for (to, _) in successors {
-                match (from, to) {
-                    (AugmentedState::Flow(f), AugmentedState::Flow(t)) => {
-                        match edge_of.get(&(f.clone(), t.clone())) {
-                            Some(&ei) => edges[ei].slot = Some(slot),
-                            None => return Ok(None),
-                        }
-                    }
-                    (AugmentedState::Flow(f), AugmentedState::Fail) => {
-                        match state_recipe_of.get(f) {
-                            Some(&si) => fail_slots.push((si, slot)),
-                            None => return Ok(None),
-                        }
-                    }
-                    (AugmentedState::Fail, _) => return Ok(None),
-                }
-                slot += 1;
-            }
+            row_offset[i] = Some(slot);
+            slot += slots.row_len[i];
         }
+        let slot_of = |at: Option<(usize, usize)>| at.and_then(|(r, k)| Some(row_offset[r]? + k));
+        for (edge, &at) in edges.iter_mut().zip(&slots.edges) {
+            edge.slot = slot_of(at);
+        }
+        let fail_slots: Vec<(usize, usize)> = slots
+            .fails
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &at)| Some((state_recipe[i], slot_of(at)?)))
+            .collect();
 
         let mut base_row = Vec::new();
         if plan.parameters_into(&chain, &mut base_row).is_err() || base_row.len() != slot {
@@ -455,10 +409,10 @@ impl StagedSweep {
             calls,
             states,
             base_fps,
+            index: Arc::clone(index),
             edges,
             fail_slots,
             transitions,
-            rows,
         };
 
         // Self-check: both staging modes must reproduce the extracted
@@ -673,31 +627,17 @@ impl StagedSweep {
         // Transition re-evaluation with the augment step's validation
         // (range first, in flow order; then row sums, in state order).
         scratch.trans_ps.clear();
-        for t in &self.transitions {
-            let p = t.expr.eval(env)?;
-            if !(0.0..=1.0 + 1e-9).contains(&p) {
-                return Err(CoreError::BadTransitions {
-                    service: self.service.to_string(),
-                    state: t.from.to_string(),
-                    sum: p,
-                });
-            }
-            scratch.trans_ps.push(p);
+        for ti in 0..self.transitions.len() {
+            scratch.trans_ps.push(self.eval_transition(ti, env)?);
         }
-        for rc in &self.rows {
-            let sum: f64 = rc.trans.iter().fold(0.0, |s, &ti| s + scratch.trans_ps[ti]);
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(CoreError::BadTransitions {
-                    service: self.service.to_string(),
-                    state: rc.from.to_string(),
-                    sum,
-                });
-            }
+        for r in 0..self.index.id_count() {
+            self.check_row(r, &scratch.trans_ps)?;
         }
         scratch.edge_ps.clear();
-        for e in &self.edges {
-            let p: f64 = e.trans.iter().fold(0.0, |s, &ti| s + scratch.trans_ps[ti]);
-            scratch.edge_ps.push(p);
+        for ei in 0..self.edges.len() {
+            scratch
+                .edge_ps
+                .push(edge_sum(&self.index, ei, &scratch.trans_ps));
         }
 
         if self.structure_moved(scratch) {
@@ -792,20 +732,71 @@ impl StagedSweep {
         env: &Bindings,
         scratch: &mut StagedScratch,
     ) -> Result<Staging> {
-        scratch.reqs.clear();
-        scratch.reqs.extend_from_slice(&center.reqs);
-        scratch.fps.clear();
-        scratch.fps.extend_from_slice(&center.fps);
-        scratch.trans_ps.clear();
-        scratch.trans_ps.extend_from_slice(&center.trans_ps);
-        scratch.edge_ps.clear();
-        scratch.edge_ps.extend_from_slice(&center.edge_ps);
-        scratch.row.clear();
-        scratch.row.extend_from_slice(&center.row);
-        let Some(deps) = center.deps.get(name) else {
-            // Nothing reads this binding: the center row is the probe row.
-            return Ok(Staging::Row);
+        // A binding nothing reads has an empty cone: the center row is the
+        // probe row.
+        let none = ParamDeps::default();
+        let deps = center.deps.get(name).unwrap_or(&none);
+        self.restage(center, deps, env, scratch)
+    }
+
+    /// Stages one env probe that differs from `center`'s env in the
+    /// bindings `names` — the multi-binding generalization of
+    /// [`StagedSweep::stage_env_delta`] used by streaming fleet refresh,
+    /// where one delta set can move several usage parameters of the same
+    /// service at once. Restages the **union** of the named parameters'
+    /// dependency cones, visiting each recipe class in ascending index
+    /// order (the order full staging uses), so rows, errors, and fallback
+    /// decisions are bitwise/first-error identical to
+    /// [`StagedSweep::stage_env`] on the probe env.
+    ///
+    /// # Errors
+    ///
+    /// See [`StagedSweep::stage_env`].
+    pub(crate) fn stage_env_deltas(
+        &self,
+        center: &StagedEnvCenter,
+        names: &[String],
+        env: &Bindings,
+        scratch: &mut StagedScratch,
+    ) -> Result<Staging> {
+        if let [name] = names {
+            return self.stage_env_delta(center, name, env, scratch);
+        }
+        let mut union = ParamDeps::default();
+        for deps in names.iter().filter_map(|name| center.deps.get(name)) {
+            union.calls.extend(&deps.calls);
+            union.states.extend(&deps.states);
+            union.trans.extend(&deps.trans);
+            union.rows.extend(&deps.rows);
+            union.edges.extend(&deps.edges);
+            union.fail_slots.extend(&deps.fail_slots);
+        }
+        let union = ParamDeps {
+            calls: ascending(union.calls),
+            states: ascending(union.states),
+            trans: ascending(union.trans),
+            rows: ascending(union.rows),
+            edges: ascending(union.edges),
+            fail_slots: ascending(union.fail_slots),
         };
+        self.restage(center, &union, env, scratch)
+    }
+
+    /// Restores `center` into `scratch` and re-runs the recipes of the cone
+    /// `deps` against `env`, each class in ascending order as full staging
+    /// visits it (see [`StagedSweep::stage_env_delta`]).
+    fn restage(
+        &self,
+        center: &StagedEnvCenter,
+        deps: &ParamDeps,
+        env: &Bindings,
+        scratch: &mut StagedScratch,
+    ) -> Result<Staging> {
+        scratch.reqs.clone_from(&center.reqs);
+        scratch.fps.clone_from(&center.fps);
+        scratch.trans_ps.clone_from(&center.trans_ps);
+        scratch.edge_ps.clone_from(&center.edge_ps);
+        scratch.row.clone_from(&center.row);
         for &i in &deps.calls {
             self.stage_call(i, env, scratch)?;
         }
@@ -813,31 +804,13 @@ impl StagedSweep {
             self.stage_state_fp(si, scratch)?;
         }
         for &ti in &deps.trans {
-            let t = &self.transitions[ti];
-            let p = t.expr.eval(env)?;
-            if !(0.0..=1.0 + 1e-9).contains(&p) {
-                return Err(CoreError::BadTransitions {
-                    service: self.service.to_string(),
-                    state: t.from.to_string(),
-                    sum: p,
-                });
-            }
-            scratch.trans_ps[ti] = p;
+            scratch.trans_ps[ti] = self.eval_transition(ti, env)?;
         }
-        for &ri in &deps.rows {
-            let rc = &self.rows[ri];
-            let sum: f64 = rc.trans.iter().fold(0.0, |s, &ti| s + scratch.trans_ps[ti]);
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(CoreError::BadTransitions {
-                    service: self.service.to_string(),
-                    state: rc.from.to_string(),
-                    sum,
-                });
-            }
+        for &r in &deps.rows {
+            self.check_row(r, &scratch.trans_ps)?;
         }
         for &ei in &deps.edges {
-            let e = &self.edges[ei];
-            scratch.edge_ps[ei] = e.trans.iter().fold(0.0, |s, &ti| s + scratch.trans_ps[ti]);
+            scratch.edge_ps[ei] = edge_sum(&self.index, ei, &scratch.trans_ps);
         }
         for &si in &deps.states {
             let (b, f) = (&self.base_fps[si], &scratch.fps[si]);
@@ -873,124 +846,6 @@ impl StagedSweep {
         Ok(Staging::Row)
     }
 
-    /// Stages one env probe that differs from `center`'s env in the
-    /// bindings `names` — the multi-binding generalization of
-    /// [`StagedSweep::stage_env_delta`] used by streaming fleet refresh,
-    /// where one delta set can move several usage parameters of the same
-    /// service at once. Restages the **union** of the named parameters'
-    /// dependency cones, visiting each recipe class in ascending index
-    /// order (the order full staging uses), so rows, errors, and fallback
-    /// decisions are bitwise/first-error identical to
-    /// [`StagedSweep::stage_env`] on the probe env.
-    ///
-    /// # Errors
-    ///
-    /// See [`StagedSweep::stage_env`].
-    pub(crate) fn stage_env_deltas(
-        &self,
-        center: &StagedEnvCenter,
-        names: &[String],
-        env: &Bindings,
-        scratch: &mut StagedScratch,
-    ) -> Result<Staging> {
-        if let [name] = names {
-            return self.stage_env_delta(center, name, env, scratch);
-        }
-        scratch.reqs.clear();
-        scratch.reqs.extend_from_slice(&center.reqs);
-        scratch.fps.clear();
-        scratch.fps.extend_from_slice(&center.fps);
-        scratch.trans_ps.clear();
-        scratch.trans_ps.extend_from_slice(&center.trans_ps);
-        scratch.edge_ps.clear();
-        scratch.edge_ps.extend_from_slice(&center.edge_ps);
-        scratch.row.clear();
-        scratch.row.extend_from_slice(&center.row);
-        use std::collections::BTreeSet;
-        let mut calls: BTreeSet<usize> = BTreeSet::new();
-        let mut states: BTreeSet<usize> = BTreeSet::new();
-        let mut trans: BTreeSet<usize> = BTreeSet::new();
-        let mut rows: BTreeSet<usize> = BTreeSet::new();
-        let mut edges: BTreeSet<usize> = BTreeSet::new();
-        let mut fail_slots: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for name in names {
-            let Some(deps) = center.deps.get(name) else {
-                continue;
-            };
-            calls.extend(deps.calls.iter().copied());
-            states.extend(deps.states.iter().copied());
-            trans.extend(deps.trans.iter().copied());
-            rows.extend(deps.rows.iter().copied());
-            edges.extend(deps.edges.iter().copied());
-            fail_slots.extend(deps.fail_slots.iter().copied());
-        }
-        for &i in &calls {
-            self.stage_call(i, env, scratch)?;
-        }
-        for &si in &states {
-            self.stage_state_fp(si, scratch)?;
-        }
-        for &ti in &trans {
-            let t = &self.transitions[ti];
-            let p = t.expr.eval(env)?;
-            if !(0.0..=1.0 + 1e-9).contains(&p) {
-                return Err(CoreError::BadTransitions {
-                    service: self.service.to_string(),
-                    state: t.from.to_string(),
-                    sum: p,
-                });
-            }
-            scratch.trans_ps[ti] = p;
-        }
-        for &ri in &rows {
-            let rc = &self.rows[ri];
-            let sum: f64 = rc.trans.iter().fold(0.0, |s, &ti| s + scratch.trans_ps[ti]);
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(CoreError::BadTransitions {
-                    service: self.service.to_string(),
-                    state: rc.from.to_string(),
-                    sum,
-                });
-            }
-        }
-        for &ei in &edges {
-            let e = &self.edges[ei];
-            scratch.edge_ps[ei] = e.trans.iter().fold(0.0, |s, &ti| s + scratch.trans_ps[ti]);
-        }
-        for &si in &states {
-            let (b, f) = (&self.base_fps[si], &scratch.fps[si]);
-            if b.is_zero() != f.is_zero() || b.is_one() != f.is_one() {
-                return Ok(Staging::Fallback);
-            }
-        }
-        for &ei in &edges {
-            let e = &self.edges[ei];
-            let comp = match e.state {
-                Some(s) => scratch.fps[s].complement().value(),
-                None => 1.0,
-            };
-            let scaled = scratch.edge_ps[ei] * comp;
-            match e.slot {
-                Some(k) => {
-                    let v = scaled.min(1.0);
-                    if v <= 0.0 {
-                        return Ok(Staging::Fallback);
-                    }
-                    scratch.row[k] = v;
-                }
-                None => {
-                    if scaled > 0.0 {
-                        return Ok(Staging::Fallback);
-                    }
-                }
-            }
-        }
-        for &(s, k) in &fail_slots {
-            scratch.row[k] = scratch.fps[s].value().min(1.0);
-        }
-        Ok(Staging::Row)
-    }
-
     /// Moves `center` to the staging `scratch` currently holds, so the
     /// next delta can be expressed against the just-applied env instead of
     /// the original one. Streaming refresh applies delta sets
@@ -999,26 +854,23 @@ impl StagedSweep {
     /// induction (the snapshot always equals a full staging of the current
     /// env). Call only after a staging that returned [`Staging::Row`].
     pub(crate) fn advance_center(&self, center: &mut StagedEnvCenter, scratch: &StagedScratch) {
-        center.reqs.clear();
-        center.reqs.extend_from_slice(&scratch.reqs);
-        center.fps.clear();
-        center.fps.extend_from_slice(&scratch.fps);
-        center.trans_ps.clear();
-        center.trans_ps.extend_from_slice(&scratch.trans_ps);
-        center.edge_ps.clear();
-        center.edge_ps.extend_from_slice(&scratch.edge_ps);
-        center.row.clear();
-        center.row.extend_from_slice(&scratch.row);
+        center.reqs.clone_from(&scratch.reqs);
+        center.fps.clone_from(&scratch.fps);
+        center.trans_ps.clone_from(&scratch.trans_ps);
+        center.edge_ps.clone_from(&scratch.edge_ps);
+        center.row.clone_from(&scratch.row);
     }
 
     /// Dependency cones of every formal parameter the staged expressions
     /// read: which call, state, transition, row, edge, and fail-slot
-    /// recipes must be restaged when that parameter moves.
+    /// recipes must be restaged when that parameter moves. Each cone is
+    /// the image of the parameter's calls and transitions under inverse
+    /// maps built once, so the whole index costs one pass over the recipes
+    /// plus the cones' sizes.
     fn env_delta_deps(&self) -> BTreeMap<String, ParamDeps> {
-        use std::collections::BTreeSet;
         let mut deps: BTreeMap<String, ParamDeps> = BTreeMap::new();
         for (i, call) in self.calls.iter().enumerate() {
-            let mut params: BTreeSet<String> = BTreeSet::new();
+            let mut params = std::collections::BTreeSet::new();
             for (_, expr) in &call.actuals {
                 params.extend(expr.free_params());
             }
@@ -1036,34 +888,83 @@ impl StagedSweep {
                 deps.entry(p).or_default().trans.push(ti);
             }
         }
-        for d in deps.values_mut() {
-            let calls: BTreeSet<usize> = d.calls.iter().copied().collect();
-            let trans: BTreeSet<usize> = d.trans.iter().copied().collect();
-            for (si, s) in self.states.iter().enumerate() {
-                if s.calls.iter().any(|c| calls.contains(c)) {
-                    d.states.push(si);
-                }
-            }
-            let states: BTreeSet<usize> = d.states.iter().copied().collect();
-            for (ri, rc) in self.rows.iter().enumerate() {
-                if rc.trans.iter().any(|t| trans.contains(t)) {
-                    d.rows.push(ri);
-                }
-            }
-            for (ei, e) in self.edges.iter().enumerate() {
-                if e.trans.iter().any(|t| trans.contains(t))
-                    || e.state.is_some_and(|s| states.contains(&s))
-                {
-                    d.edges.push(ei);
-                }
-            }
-            for &(s, k) in &self.fail_slots {
-                if states.contains(&s) {
-                    d.fail_slots.push((s, k));
-                }
+
+        let index = &self.index;
+        let mut states_of_call = vec![Vec::new(); self.calls.len()];
+        for (si, s) in self.states.iter().enumerate() {
+            for &c in &s.calls {
+                states_of_call[c].push(si);
             }
         }
+        let mut row_of_trans = vec![0; self.transitions.len()];
+        for (r, &id) in index.sorted().iter().enumerate() {
+            for &t in index.row(id) {
+                row_of_trans[t as usize] = r;
+            }
+        }
+        let mut edge_of_trans = vec![0; self.transitions.len()];
+        let mut edges_of_state = vec![Vec::new(); self.states.len()];
+        for (ei, e) in self.edges.iter().enumerate() {
+            for &t in index.edge_transitions(ei) {
+                edge_of_trans[t as usize] = ei;
+            }
+            if let Some(s) = e.state {
+                edges_of_state[s].push(ei);
+            }
+        }
+        let mut fail_slots_of_state = vec![Vec::new(); self.states.len()];
+        for &(s, k) in &self.fail_slots {
+            fail_slots_of_state[s].push((s, k));
+        }
+
+        for d in deps.values_mut() {
+            d.states = ascending(
+                d.calls
+                    .iter()
+                    .flat_map(|&c| states_of_call[c].iter().copied())
+                    .collect(),
+            );
+            d.rows = ascending(d.trans.iter().map(|&t| row_of_trans[t]).collect());
+            d.edges = ascending(
+                d.trans
+                    .iter()
+                    .map(|&t| edge_of_trans[t])
+                    .chain(
+                        d.states
+                            .iter()
+                            .flat_map(|&s| edges_of_state[s].iter().copied()),
+                    )
+                    .collect(),
+            );
+            d.fail_slots = ascending(
+                d.states
+                    .iter()
+                    .flat_map(|&s| fail_slots_of_state[s].iter().copied())
+                    .collect(),
+            );
+        }
         deps
+    }
+
+    /// Evaluates transition `ti` under `env` with the augment step's range
+    /// check.
+    fn eval_transition(&self, ti: usize, env: &Bindings) -> Result<f64> {
+        let t = &self.transitions[ti];
+        checked_transition(&self.service, &t.from, t.expr.eval(env)?)
+    }
+
+    /// Checks the outgoing row of the state at position `r` of the flow's
+    /// `StateId` order against the evaluated transition probabilities, as
+    /// the augment step does.
+    fn check_row(&self, r: usize, trans_ps: &[f64]) -> Result<()> {
+        match bad_row(&self.index, self.index.sorted()[r], trans_ps) {
+            Some((t, sum)) => Err(bad_transitions(
+                &self.service,
+                &self.transitions[t].from,
+                sum,
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Re-resolves one call recipe against `env` into `scratch.reqs[i]` —
@@ -1283,6 +1184,51 @@ fn intern_simple(
         _ => None,
     }
 }
+
+/// `v` sorted ascending, without repeats.
+fn ascending<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// A call or flow state keyed by what its recipe is made of: two keys are
+/// equal when the calls (or the states' models and calls) are, whatever
+/// the states' names, so equal ones share one recipe. Floating-point
+/// fields compare with `==`, which model values (finite) keep reflexive.
+struct Same<T>(T);
+
+impl PartialEq for Same<&ServiceCall> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Hash for Same<&ServiceCall> {
+    /// Hashes every part `==` compares except the internal-failure law.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.0.target.hash(h);
+        self.0.actual_params.hash(h);
+        let connector = self.0.connector.as_ref();
+        connector.map(|c| (&c.connector, &c.actual_params)).hash(h);
+    }
+}
+
+impl PartialEq for Same<&FlowState> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0, other.0);
+        a.completion == b.completion && a.dependency == b.dependency && a.calls == b.calls
+    }
+}
+
+impl Hash for Same<&FlowState> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self.0.completion, self.0.dependency).hash(h);
+        self.0.calls.iter().for_each(|c| Same(c).hash(h));
+    }
+}
+
+impl<T> Eq for Same<T> where Same<T>: PartialEq {}
 
 /// Compiles one service call against the baseline `env`, mirroring
 /// `resolve_request`'s evaluation order (actuals, target demand binding,

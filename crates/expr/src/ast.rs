@@ -1,5 +1,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::Arc;
 
@@ -371,6 +372,27 @@ impl fmt::Display for Expr {
     }
 }
 
+/// Structural hash, consistent with `==`: equal expressions hash alike
+/// (`0.0` and `-0.0` compare equal, so both hash as `0.0`).
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Num(v) => (v + 0.0).to_bits().hash(state),
+            Expr::Param(name) => name.hash(state),
+            Expr::Unary { op, operand } => {
+                op.hash(state);
+                operand.hash(state);
+            }
+            Expr::Binary { op, left, right } => {
+                op.hash(state);
+                left.hash(state);
+                right.hash(state);
+            }
+        }
+    }
+}
+
 impl From<f64> for Expr {
     fn from(v: f64) -> Expr {
         Expr::Num(v)
@@ -421,6 +443,22 @@ mod tests {
         let env = Bindings::new().with("x", 3.0);
         assert_eq!(Expr::num(2.5).eval(&env).unwrap(), 2.5);
         assert_eq!(Expr::param("x").eval(&env).unwrap(), 3.0);
+    }
+
+    #[test]
+    fn equal_expressions_hash_alike() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |e: &Expr| {
+            let mut h = DefaultHasher::new();
+            e.hash(&mut h);
+            h.finish()
+        };
+        let a = Expr::param("x") * Expr::num(0.0) + Expr::param("y").ln();
+        let b = Expr::param("x") * Expr::num(-0.0) + Expr::param("y").ln();
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(hash(&a), hash(&(Expr::param("x") + Expr::param("y").ln())));
+        assert_ne!(hash(&Expr::param("x")), hash(&Expr::param("z")));
     }
 
     #[test]

@@ -304,6 +304,16 @@ impl<S: StateLabel> DtmcBuilder<S> {
         }
     }
 
+    /// Creates an empty builder with room for `states` states and
+    /// `transitions` transitions.
+    pub fn with_capacity(states: usize, transitions: usize) -> Self {
+        DtmcBuilder {
+            states: Vec::with_capacity(states),
+            index: HashMap::with_capacity(states),
+            edges: Vec::with_capacity(transitions),
+        }
+    }
+
     fn intern(&mut self, s: S) -> usize {
         if let Some(&i) = self.index.get(&s) {
             return i;
@@ -331,6 +341,24 @@ impl<S: StateLabel> DtmcBuilder<S> {
         let i = self.intern(from);
         let j = self.intern(to);
         self.edges.push((i, j, probability));
+        self
+    }
+
+    /// Adds a transition between two declared states addressed by their
+    /// declaration order (the indices [`Dtmc::index_of`] reports once
+    /// built), skipping the label lookups of [`DtmcBuilder::transition`].
+    /// `build` validates it like any other transition.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either index names no declared state.
+    #[must_use]
+    pub fn transition_by_index(mut self, from: usize, to: usize, probability: f64) -> Self {
+        assert!(
+            from < self.states.len() && to < self.states.len(),
+            "transition between undeclared states {from} -> {to}"
+        );
+        self.edges.push((from, to, probability));
         self
     }
 
@@ -456,6 +484,28 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, MarkovError::InvalidProbability { .. }));
+    }
+
+    #[test]
+    fn indexed_transitions_build_the_labelled_chain() {
+        let indexed = DtmcBuilder::new()
+            .state("a")
+            .state("b")
+            .state("c")
+            .transition_by_index(0, 1, 0.5)
+            .transition_by_index(0, 2, 0.5)
+            .transition_by_index(1, 2, 1.0)
+            .build()
+            .unwrap();
+        assert_eq!(indexed, simple_chain());
+        let err = DtmcBuilder::new()
+            .state("a")
+            .state("b")
+            .transition_by_index(0, 1, 0.5)
+            .transition_by_index(0, 1, 0.5)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, MarkovError::DuplicateTransition { .. }));
     }
 
     #[test]

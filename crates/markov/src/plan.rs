@@ -365,7 +365,9 @@ pub enum PlanBody {
 
 /// A compiled, reusable solve for one absorbing-chain structure.
 ///
-/// See the [module documentation](self) for the compile/evaluate split.
+/// Compiling validates and symbolically eliminates the chain once;
+/// evaluating maps a parameter vector to the absorption probability with
+/// no refactorization (see the crate documentation).
 ///
 /// # Examples
 ///

@@ -115,10 +115,9 @@ impl Assembly {
                 stack.push((node, true));
                 let deps = self.dependencies(node)?;
                 for dep in deps {
-                    let dep_ref = self
+                    let (dep_ref, _) = self
                         .services
-                        .keys()
-                        .find(|k| **k == dep)
+                        .get_key_value(&dep)
                         .expect("validated assembly has no dangling references");
                     match marks[dep_ref] {
                         Mark::White => stack.push((dep_ref, false)),

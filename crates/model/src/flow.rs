@@ -1,11 +1,12 @@
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use archrel_expr::Expr;
 use serde::{Deserialize, Serialize};
 
-use crate::{InternalFailureModel, ModelError, Result, ServiceId};
+use crate::index::state_id;
+use crate::{FlowIndex, InternalFailureModel, Result, ServiceId};
 
 /// Identifier of a state in a service flow.
 ///
@@ -235,10 +236,29 @@ pub struct Transition {
 
 /// The probabilistic flow (usage profile) of a composite service: a DTMC
 /// skeleton whose nodes carry sets of service requests (paper §2, Fig. 1–2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and `Debug` cover the states and transitions only; the
+/// [`FlowIndex`] built alongside them is derived data.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Flow {
     states: Vec<FlowState>,
     transitions: Vec<Transition>,
+    index: Arc<FlowIndex>,
+}
+
+impl PartialEq for Flow {
+    fn eq(&self, other: &Flow) -> bool {
+        self.states == other.states && self.transitions == other.transitions
+    }
+}
+
+impl fmt::Debug for Flow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Flow")
+            .field("states", &self.states)
+            .field("transitions", &self.transitions)
+            .finish()
+    }
 }
 
 impl Flow {
@@ -249,7 +269,8 @@ impl Flow {
 
     /// Looks up a named state.
     pub fn state(&self, id: &StateId) -> Option<&FlowState> {
-        self.states.iter().find(|s| &s.id == id)
+        let i = FlowIndex::named_position(self.dense_id(id)?)?;
+        Some(&self.states[i])
     }
 
     /// All transitions.
@@ -257,9 +278,34 @@ impl Flow {
         &self.transitions
     }
 
-    /// Outgoing transitions of a state.
+    /// Outgoing transitions of a state, in declaration order.
     pub fn outgoing<'a>(&'a self, from: &'a StateId) -> impl Iterator<Item = &'a Transition> + 'a {
-        self.transitions.iter().filter(move |t| &t.from == from)
+        let row = match self.dense_id(from) {
+            Some(id) => self.index.row(id),
+            None => &[],
+        };
+        row.iter().map(move |&t| &self.transitions[t as usize])
+    }
+
+    /// The flow's interned layout, shared so lowerings can keep it.
+    pub fn index(&self) -> &Arc<FlowIndex> {
+        &self.index
+    }
+
+    /// Dense id of a state of this flow (see [`FlowIndex`]), by binary
+    /// search over the named states' `StateId` order.
+    fn dense_id(&self, id: &StateId) -> Option<u32> {
+        match id {
+            StateId::Start => Some(FlowIndex::START),
+            StateId::End => Some(FlowIndex::END),
+            named => {
+                let sorted = &self.index.sorted()[2..];
+                sorted
+                    .binary_search_by(|&d| state_id(&self.states, d).cmp(named))
+                    .ok()
+                    .map(|k| sorted[k])
+            }
+        }
     }
 
     /// Every service id referenced by any call or connector in the flow.
@@ -353,128 +399,20 @@ impl FlowBuilder {
     ///   probabilities are all constant sum to 1;
     /// - `k`-out-of-`n` states satisfy `1 ≤ k ≤ n`.
     ///
+    /// The checks run over the flow's [`FlowIndex`], built in the same
+    /// pass, so validation is linear in states plus transitions.
+    ///
     /// # Errors
     ///
-    /// Returns [`ModelError::MalformedFlow`] (or
-    /// [`ModelError::InvalidKOutOfN`]) describing the first defect found.
+    /// Returns [`crate::ModelError::MalformedFlow`] (or
+    /// [`crate::ModelError::InvalidKOutOfN`]) describing the first defect
+    /// found.
     pub fn build(self) -> Result<Flow> {
-        let malformed = |reason: String| ModelError::MalformedFlow {
-            service: "<unattached flow>".to_string(),
-            reason,
-        };
-
-        let mut seen = BTreeSet::new();
-        for s in &self.states {
-            match &s.id {
-                StateId::Named(_) => {}
-                other => {
-                    return Err(malformed(format!(
-                        "state `{other}` is reserved and cannot carry calls"
-                    )))
-                }
-            }
-            if !seen.insert(s.id.clone()) {
-                return Err(malformed(format!("duplicate state `{}`", s.id)));
-            }
-            if let CompletionModel::KOutOfN { k } = s.completion {
-                if k == 0 || k > s.calls.len() {
-                    return Err(ModelError::InvalidKOutOfN {
-                        k,
-                        n: s.calls.len(),
-                    });
-                }
-            }
-        }
-
-        let known = |id: &StateId| match id {
-            StateId::Start | StateId::End => true,
-            named => seen.contains(named),
-        };
-        for t in &self.transitions {
-            if !known(&t.from) {
-                return Err(malformed(format!(
-                    "transition from unknown state `{}`",
-                    t.from
-                )));
-            }
-            if !known(&t.to) {
-                return Err(malformed(format!("transition to unknown state `{}`", t.to)));
-            }
-            if t.from == StateId::End {
-                return Err(malformed(
-                    "End state has an outgoing transition".to_string(),
-                ));
-            }
-            if t.to == StateId::Start {
-                return Err(malformed(
-                    "Start state has an incoming transition".to_string(),
-                ));
-            }
-            if let Some(p) = t.probability.as_const() {
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(malformed(format!(
-                        "constant transition probability {p} on `{}` -> `{}`",
-                        t.from, t.to
-                    )));
-                }
-            }
-        }
-
-        // Outgoing coverage: Start and every named state must emit.
-        let mut has_outgoing: BTreeMap<StateId, bool> = BTreeMap::new();
-        has_outgoing.insert(StateId::Start, false);
-        for s in &self.states {
-            has_outgoing.insert(s.id.clone(), false);
-        }
-        for t in &self.transitions {
-            if let Some(flag) = has_outgoing.get_mut(&t.from) {
-                *flag = true;
-            }
-        }
-        for (id, emitted) in &has_outgoing {
-            if !emitted {
-                return Err(malformed(format!(
-                    "state `{id}` has no outgoing transition"
-                )));
-            }
-        }
-
-        // Constant-only rows must sum to one.
-        for id in has_outgoing.keys() {
-            let outgoing: Vec<&Transition> =
-                self.transitions.iter().filter(|t| &t.from == id).collect();
-            let consts: Vec<f64> = outgoing
-                .iter()
-                .filter_map(|t| t.probability.as_const())
-                .collect();
-            if consts.len() == outgoing.len() {
-                let sum: f64 = consts.iter().sum();
-                if (sum - 1.0).abs() > 1e-9 {
-                    return Err(malformed(format!(
-                        "outgoing probabilities of `{id}` sum to {sum}"
-                    )));
-                }
-            }
-        }
-
-        // End reachable from Start (ignoring probabilities).
-        let mut reached: BTreeSet<StateId> = BTreeSet::new();
-        let mut queue = VecDeque::from([StateId::Start]);
-        reached.insert(StateId::Start);
-        while let Some(v) = queue.pop_front() {
-            for t in self.transitions.iter().filter(|t| t.from == v) {
-                if reached.insert(t.to.clone()) {
-                    queue.push_back(t.to.clone());
-                }
-            }
-        }
-        if !reached.contains(&StateId::End) {
-            return Err(malformed("End is unreachable from Start".to_string()));
-        }
-
+        let index = FlowIndex::new(&self.states, &self.transitions)?;
         Ok(Flow {
             states: self.states,
             transitions: self.transitions,
+            index: Arc::new(index),
         })
     }
 }
@@ -482,6 +420,7 @@ impl FlowBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelError;
 
     fn call() -> ServiceCall {
         ServiceCall::new("cpu").with_param("n", Expr::num(10.0))
@@ -503,6 +442,35 @@ mod tests {
         assert_eq!(flow.outgoing(&StateId::Start).count(), 1);
         assert!(flow.state(&StateId::named("work")).is_some());
         assert!(flow.state(&StateId::named("zzz")).is_none());
+        assert!(flow.state(&StateId::End).is_none());
+        assert_eq!(flow.outgoing(&StateId::End).count(), 0);
+        assert_eq!(flow.outgoing(&StateId::named("zzz")).count(), 0);
+    }
+
+    /// Validation and indexing are linear: a 20,000-state chain builds at
+    /// once, where scanning every transition per state took minutes in a
+    /// debug build.
+    #[test]
+    fn long_chains_build_in_linear_time() {
+        let n = 20_000;
+        let name = |i: usize| StateId::named(format!("s{i}"));
+        let mut builder = FlowBuilder::new();
+        for i in 0..n {
+            builder = builder.state(FlowState::new(name(i), vec![call()]));
+        }
+        builder = builder.transition(StateId::Start, name(0), Expr::one());
+        for i in 1..n {
+            builder = builder.transition(name(i - 1), name(i), Expr::one());
+        }
+        builder = builder.transition(name(n - 1), StateId::End, Expr::one());
+        let flow = builder.build().unwrap();
+        assert_eq!(flow.index().edge_count(), n + 1);
+        assert_eq!(flow.index().id_count(), n + 2);
+        let tail = name(n - 1);
+        let last: Vec<_> = flow.outgoing(&tail).collect();
+        assert_eq!(last.len(), 1);
+        assert_eq!(last[0].to, StateId::End);
+        assert_eq!(flow.state(&name(12_345)).unwrap().id, name(12_345));
     }
 
     #[test]

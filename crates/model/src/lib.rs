@@ -47,6 +47,7 @@ mod error;
 mod failure;
 mod flow;
 mod ids;
+mod index;
 pub mod paper;
 mod prob;
 mod service;
@@ -59,6 +60,7 @@ pub use flow::{
     StateId,
 };
 pub use ids::ServiceId;
+pub use index::FlowIndex;
 pub use prob::Probability;
 pub use service::{CompositeService, Service, SimpleService};
 

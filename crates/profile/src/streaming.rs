@@ -6,7 +6,8 @@
 //!
 //! # Batch equivalence
 //!
-//! [`StreamingEstimator`] is pinned to [`estimate_dtmc`]: after ingesting
+//! [`StreamingEstimator`] is pinned to
+//! [`estimate_dtmc`](crate::estimate::estimate_dtmc): after ingesting
 //! traces `t₁ … tₙ` in any split, [`StreamingEstimator::estimate`] produces
 //! a chain whose state set (in first-occurrence order) and per-edge
 //! transition probabilities are **bitwise** equal to

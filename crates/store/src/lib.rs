@@ -8,7 +8,7 @@
 //! reopened by any later process working on the same structure. This crate
 //! provides that archive tier:
 //!
-//! - [`format`]: a relative-offset, checksummed binary layout whose payload
+//! - [`format`](mod@format): a relative-offset, checksummed binary layout whose payload
 //!   sections are consumed in place — loading performs zero deserialization
 //!   copies of the tape or factor slabs (the bytes are mapped and handed to
 //!   `archrel-markov` as [`Section::Mapped`](archrel_markov::Section) views).
