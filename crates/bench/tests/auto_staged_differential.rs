@@ -361,33 +361,6 @@ fn staging_declines_outside_the_sparse_acyclic_regime() {
     let (sparse, _) = propagate(&looped, &env, SolverPolicy::Sparse, 1);
     same(&auto.unwrap(), &sparse.unwrap(), "retry loop");
     assert_eq!(staged, 0, "a cyclic flow staged under Auto");
-    // Nor may `Auto` stage on a cyclic plan that a `Compiled` run left in
-    // a shared cache.
-    let plans = Arc::new(PlanCache::new());
-    let quantities = unit_quantity(0.5, 2.0);
-    let run = |solver| {
-        propagate_with_plan_cache(
-            &looped,
-            &app(),
-            &env,
-            &quantities,
-            SAMPLES,
-            SEED,
-            1,
-            options(solver),
-            &plans,
-        )
-        .unwrap()
-    };
-    run(SolverPolicy::Compiled);
-    let compiled_staging = plans.stats().stage_nanos;
-    assert!(compiled_staging > 0, "Compiled did not stage the loop");
-    run(SolverPolicy::Auto);
-    assert_eq!(
-        plans.stats().stage_nanos,
-        compiled_staging,
-        "Auto staged on a shared cyclic plan"
-    );
 
     // The explicit direct policies are the unstaged reference.
     for solver in [SolverPolicy::Dense, SolverPolicy::Sparse] {

@@ -2,11 +2,10 @@
 //! per-service [`StreamingEstimator`]s, delta drains, [`FleetRefresh`] —
 //! must land on exactly (bitwise) the state the batch path produces:
 //! re-estimate every service with [`StreamingEstimator::estimate`] (itself
-//! pinned to `estimate_dtmc`) and re-solve on a fresh evaluator over the
-//! refresh driver's own plan cache.
+//! pinned to `estimate_dtmc`) and re-solve on a fresh evaluator over its
+//! own plan cache.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use archrel_bench::scenarios::{generate_fleet, Fleet, FleetService, FleetSpec};
 use archrel_core::{EvalOptions, Evaluator, FleetRefresh, SolverPolicy};
@@ -29,9 +28,9 @@ fn small_fleet() -> Fleet {
     .expect("fleet generates")
 }
 
-fn compiled() -> EvalOptions {
+fn auto() -> EvalOptions {
     EvalOptions {
-        solver: SolverPolicy::Compiled,
+        solver: SolverPolicy::Auto,
         ..EvalOptions::default()
     }
 }
@@ -155,13 +154,9 @@ fn registered(fleet: &Fleet) -> Vec<&FleetService> {
 }
 
 /// Asserts every registered service's refresh state is bitwise the batch
-/// re-estimate + re-solve reference over the shared plan cache.
+/// re-estimate + re-solve reference on a fresh evaluator.
 fn assert_matches_batch(fleet: &Fleet, streams: &[Stream], refresh: &FleetRefresh) {
-    let evaluator = Evaluator::with_plan_cache(
-        &fleet.assembly,
-        refresh.evaluator().options(),
-        Arc::clone(refresh.plan_cache()),
-    );
+    let evaluator = Evaluator::with_options(&fleet.assembly, refresh.evaluator().options());
     for (svc, stream) in registered(fleet).into_iter().zip(streams) {
         let id: ServiceId = svc.service.as_str().into();
         let ref_env = stream.batch_env(svc);
@@ -193,7 +188,7 @@ fn assert_matches_batch(fleet: &Fleet, streams: &[Stream], refresh: &FleetRefres
 fn streamed_fleet_matches_batch_reference_bitwise() {
     let fleet = small_fleet();
     let services = registered(&fleet);
-    let mut refresh = FleetRefresh::new(&fleet.assembly, compiled());
+    let mut refresh = FleetRefresh::new(&fleet.assembly, auto());
     for svc in &services {
         let varied: Vec<String> = svc.edges.iter().map(|e| e.param.clone()).collect();
         refresh
@@ -237,7 +232,7 @@ fn streamed_fleet_matches_batch_reference_bitwise() {
 fn thresholded_drains_suppress_rows_but_keep_the_fleet_consistent() {
     let fleet = small_fleet();
     let services = registered(&fleet);
-    let mut refresh = FleetRefresh::new(&fleet.assembly, compiled());
+    let mut refresh = FleetRefresh::new(&fleet.assembly, auto());
     for svc in &services {
         let varied: Vec<String> = svc.edges.iter().map(|e| e.param.clone()).collect();
         refresh
@@ -276,13 +271,9 @@ fn thresholded_drains_suppress_rows_but_keep_the_fleet_consistent() {
         .expect("thresholded apply stays valid");
 
     // Self-consistency: each service's stored failure is exactly what a
-    // fresh shared-cache evaluation of its *applied* env produces (the env
-    // may lag the estimators — that is the threshold's contract).
-    let evaluator = Evaluator::with_plan_cache(
-        &fleet.assembly,
-        refresh.evaluator().options(),
-        Arc::clone(refresh.plan_cache()),
-    );
+    // fresh evaluation of its *applied* env produces (the env may lag the
+    // estimators — that is the threshold's contract).
+    let evaluator = Evaluator::with_options(&fleet.assembly, refresh.evaluator().options());
     for svc in &services {
         let id: ServiceId = svc.service.as_str().into();
         let env = refresh.env(&id).unwrap().clone();
@@ -298,7 +289,7 @@ fn thresholded_drains_suppress_rows_but_keep_the_fleet_consistent() {
 fn unknown_and_duplicate_params_are_rejected() {
     let fleet = small_fleet();
     let services = registered(&fleet);
-    let mut refresh = FleetRefresh::new(&fleet.assembly, compiled());
+    let mut refresh = FleetRefresh::new(&fleet.assembly, auto());
     let varied: Vec<String> = services[0].edges.iter().map(|e| e.param.clone()).collect();
     refresh
         .register(

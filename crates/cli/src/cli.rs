@@ -89,11 +89,11 @@ common options:
              emits a row in its delta set: a finite value in [0, 1)
              (default: 0 -- emit every changed row; or the
              ARCHREL_DELTA_THRESHOLD environment variable when set)
-  --solver {auto,dense,sparse,compiled}   absorbing-chain solver for predict/
+  --solver {auto,dense,sparse}   absorbing-chain solver for predict/
              report/sweep/batch/improve (default: auto, or the ARCHREL_SOLVER
-             environment variable when set; compiled builds each flow
-             structure's evaluation plan once and replays it per solve --
-             fastest for sweeps)
+             environment variable when set; auto picks dense LU or the
+             sparse path per flow and replays a compiled evaluation tape
+             for repeated large acyclic flows)
   --fixed-point {plain,aitken}   evaluate cyclic (mutually recursive)
              assemblies by global fixed-point iteration with the chosen
              scheme: plain successive substitution (the bitwise reference)
@@ -261,7 +261,7 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 let value = next_value(args, &mut i, "--solver")?;
                 opts.solver = Some(SolverPolicy::parse(&value).ok_or_else(|| {
                     CliError::new(format!(
-                        "`--solver {value}`: expected auto, dense, sparse, or compiled"
+                        "`--solver {value}`: expected auto, dense, or sparse"
                     ))
                 })?);
             }
@@ -369,7 +369,7 @@ pub fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         if !raw.trim().is_empty() && SolverPolicy::parse(&raw).is_none() {
             return Err(CliError::new(format!(
                 "unrecognized ARCHREL_SOLVER value `{raw}`: \
-                 expected one of auto, dense, sparse, compiled"
+                 expected one of auto, dense, sparse"
             )));
         }
     }
@@ -793,13 +793,36 @@ mod tests {
     "#;
 
     fn with_document(f: impl FnOnce(&str)) {
+        with_source(DOCUMENT, f);
+    }
+
+    fn with_source(source: &str, f: impl FnOnce(&str)) {
         let dir =
             std::env::temp_dir().join(format!("archrel-cli-{:?}", std::thread::current().id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("test.arch");
-        std::fs::write(&path, DOCUMENT).unwrap();
+        std::fs::write(&path, source).unwrap();
         f(path.to_str().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// [`DOCUMENT`]'s `app` followed by 64 call-free states: an acyclic
+    /// flow in the default solver's sparse regime, where repeated
+    /// evaluations replay a compiled plan.
+    fn long_document() -> String {
+        let mut source = DOCUMENT.replace("s -> end : 1;", "s -> t0 : 1;");
+        let mut tail = String::new();
+        for i in 0..64 {
+            tail.push_str(&format!("  state t{i} {{ }}\n"));
+            let next = if i == 63 {
+                "end".to_string()
+            } else {
+                format!("t{}", i + 1)
+            };
+            tail.push_str(&format!("  t{i} -> {next} : 1;\n"));
+        }
+        source = source.replace("start -> s : 1;", &format!("start -> s : 1;\n{tail}"));
+        source
     }
 
     /// A service whose `s` row is driven by `<from>_<to>` usage
@@ -1086,7 +1109,7 @@ mod tests {
     fn solver_flag_selects_the_backend_without_changing_the_answer() {
         with_document(|path| {
             let base = ["predict", path, "--service", "app", "--bind", "work=1e6"];
-            let outputs: Vec<String> = ["auto", "dense", "sparse", "compiled"]
+            let outputs: Vec<String> = ["auto", "dense", "sparse"]
                 .iter()
                 .map(|solver| {
                     let mut args = base.to_vec();
@@ -1099,7 +1122,6 @@ mod tests {
             assert!(outputs[0].contains("Pfail(app)"));
             assert_eq!(outputs[0], outputs[1]);
             assert_eq!(outputs[1], outputs[2]);
-            assert_eq!(outputs[2], outputs[3]);
             // Other solver-aware commands accept the flag too.
             let out = run_capture(&[
                 "sweep",
@@ -1125,9 +1147,14 @@ mod tests {
     #[test]
     fn solver_flag_rejects_unknown_backends() {
         with_document(|path| {
-            let err = run_capture(&["predict", path, "--service", "app", "--solver", "quantum"])
-                .unwrap_err();
-            assert!(err.to_string().contains("auto, dense, sparse, or compiled"));
+            for solver in ["quantum", "compiled"] {
+                let err = run_capture(&["predict", path, "--service", "app", "--solver", solver])
+                    .unwrap_err();
+                assert!(
+                    err.to_string().ends_with("expected auto, dense, or sparse"),
+                    "{err}"
+                );
+            }
         });
     }
 
@@ -1136,16 +1163,17 @@ mod tests {
     const EMPTY_SOLVER_CHILD_ENV: &str = "ARCHREL_TEST_EMPTY_SOLVER_DOCUMENT";
 
     /// Child half of `empty_solver_env_means_the_default_policy`: predicts
-    /// on the named document and prints the answer. A no-op in ordinary
-    /// test runs (the variable is absent).
+    /// on the named document and prints the answer, or the error. A no-op
+    /// in ordinary test runs (the variable is absent).
     #[test]
     fn empty_solver_env_child_helper() {
         let Ok(path) = std::env::var(EMPTY_SOLVER_CHILD_ENV) else {
             return;
         };
-        let out = run_capture(&["predict", &path, "--service", "app", "--bind", "work=1e6"])
-            .expect("an empty ARCHREL_SOLVER must not be an error");
-        print!("{out}");
+        match run_capture(&["predict", &path, "--service", "app", "--bind", "work=1e6"]) {
+            Ok(out) => print!("{out}"),
+            Err(err) => print!("error: {err}"),
+        }
     }
 
     /// CI matrices expand absent entries to empty strings, so an empty
@@ -1167,23 +1195,35 @@ mod tests {
                 "auto",
             ])
             .unwrap();
-            let output = std::process::Command::new(std::env::current_exe().unwrap())
-                .args([
-                    "--exact",
-                    "cli::tests::empty_solver_env_child_helper",
-                    "--nocapture",
-                ])
-                .env("ARCHREL_SOLVER", "")
-                .env(EMPTY_SOLVER_CHILD_ENV, path)
-                .output()
-                .expect("spawn the child test");
-            let stdout = String::from_utf8_lossy(&output.stdout);
-            assert!(
-                output.status.success(),
-                "child failed: {stdout}{}",
-                String::from_utf8_lossy(&output.stderr)
-            );
+            let child = |solver: &str| {
+                let output = std::process::Command::new(std::env::current_exe().unwrap())
+                    .args([
+                        "--exact",
+                        "cli::tests::empty_solver_env_child_helper",
+                        "--nocapture",
+                    ])
+                    .env("ARCHREL_SOLVER", solver)
+                    .env(EMPTY_SOLVER_CHILD_ENV, path)
+                    .output()
+                    .expect("spawn the child test");
+                let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+                assert!(
+                    output.status.success(),
+                    "child failed: {stdout}{}",
+                    String::from_utf8_lossy(&output.stderr)
+                );
+                stdout
+            };
+            let stdout = child("");
             assert!(stdout.contains(&want), "{stdout} lacks {want}");
+            // `compiled` is rejected up front, like a typo.
+            let stdout = child("compiled");
+            assert!(
+                stdout.contains(
+                    "ARCHREL_SOLVER value `compiled`: expected one of auto, dense, sparse"
+                ),
+                "{stdout}"
+            );
         });
     }
 
@@ -1294,21 +1334,29 @@ mod tests {
 
     #[test]
     fn artifact_flags_warm_and_reuse_a_store() {
-        with_document(|path| {
+        with_source(&long_document(), |path| {
             let store_dir = std::env::temp_dir().join(format!(
                 "archrel-cli-artifacts-{:?}",
                 std::thread::current().id()
             ));
             let store_dir = store_dir.to_str().unwrap().to_string();
+            // A sweep evaluates the long flow three times: under `auto` the
+            // second point compiles its plan, which the store then archives.
             let base = [
-                "predict",
+                "sweep",
                 path,
                 "--service",
                 "app",
-                "--bind",
-                "work=1e6",
+                "--param",
+                "work",
+                "--from",
+                "1e3",
+                "--to",
+                "1e6",
+                "--steps",
+                "3",
                 "--solver",
-                "compiled",
+                "auto",
             ];
             let run_with = |mode: &str| {
                 let mut args = base.to_vec();

@@ -16,9 +16,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use archrel_expr::Bindings;
-use archrel_markov::{
-    structure_fingerprint, BlockSolveKinds, ParamBlock, PlanScratch, PlanSolveKind, SolvePlan, LANE,
-};
+use archrel_markov::{structure_fingerprint, ParamBlock, PlanScratch, SolvePlan, LANE};
 use archrel_model::{
     Assembly, CompositeService, Probability, Service, ServiceCall, ServiceId, StateId,
 };
@@ -61,10 +59,13 @@ pub const DEFAULT_FIXED_POINT_TOLERANCE: f64 = 1e-12;
 /// The same policy value is threaded through the batch engine, the
 /// sensitivity stencils, uncertainty propagation, and service selection, so
 /// a whole analysis runs under one backend discipline. The environment
-/// variable `ARCHREL_SOLVER` (values `auto` / `dense` / `sparse` /
-/// `compiled`) overrides the default policy of every
-/// [`EvalOptions::default`], which is how CI forces the entire test suite
-/// through the sparse and compiled paths.
+/// variable `ARCHREL_SOLVER` (values `auto` / `dense` / `sparse`) overrides
+/// the default policy of every [`EvalOptions::default`], which is how CI
+/// forces the entire test suite through the sparse path.
+///
+/// Every policy answers a flow from the model and the bindings alone:
+/// which query compiled a plan first, or what else a shared
+/// [`PlanCache`] holds, never changes a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverPolicy {
     /// Pick per chain from state count and edge density: dense LU below
@@ -72,12 +73,14 @@ pub enum SolverPolicy {
     /// `AUTO_DENSE_DENSITY_MAX_STATES` (256) when density ≥
     /// `AUTO_DENSE_DENSITY` (0.25)), the sparse path otherwise. The
     /// thresholds come from a dense-vs-sparse sweep (crossover near 64 chain
-    /// states). In the sparse regime, a flow *structure* solved at least
-    /// `AUTO_PLAN_MIN_SEEN` (2) times is promoted to a compiled acyclic plan
-    /// (a tape replay that is bitwise-identical to the sparse fast path).
-    /// The sweep drivers (uncertainty, sensitivity, improvement, selection,
-    /// fleet refresh) stage such sparse-regime acyclic flows straight into
-    /// that tape from their first point.
+    /// states). In the sparse regime, an acyclic flow *structure* solved
+    /// at least `AUTO_PLAN_MIN_SEEN` (2) times is promoted to a compiled
+    /// plan ([`archrel_markov::SolvePlan`]): a tape replay that is
+    /// bitwise-identical to the sparse fast path. The sweep drivers
+    /// (uncertainty, sensitivity, improvement, selection, fleet refresh)
+    /// stage such sparse-regime acyclic flows straight into that tape from
+    /// their first point. Cyclic sparse-regime flows stay on the sparse
+    /// path's Gauss–Seidel iteration.
     #[default]
     Auto,
     /// Always dense LU — exact, `O(states³)`; the right choice for
@@ -86,14 +89,6 @@ pub enum SolverPolicy {
     /// Always the sparse path — exact `O(edges)` back-substitution on
     /// acyclic flow graphs, CSR Gauss–Seidel `O(sweeps·edges)` otherwise.
     Sparse,
-    /// Compile-once, evaluate-many plans ([`archrel_markov::SolvePlan`]):
-    /// every flow structure is compiled on first sight and re-evaluated
-    /// from a straight-line tape (acyclic flows) or via Sherman–Morrison
-    /// rank-1 incremental re-solves against a compile-time LU factorization
-    /// (cyclic flows). The backend of choice for parameter sweeps that
-    /// re-solve one structure many times
-    /// (11.6x over `Sparse` at 1024 states).
-    Compiled,
 }
 
 /// Below this state count `Auto` always uses dense LU.
@@ -117,13 +112,12 @@ pub(crate) enum ChosenSolver {
 }
 
 impl SolverPolicy {
-    /// Parses `auto` / `dense` / `sparse` / `compiled` (case-insensitive).
+    /// Parses `auto` / `dense` / `sparse` (case-insensitive).
     pub fn parse(s: &str) -> Option<SolverPolicy> {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(SolverPolicy::Auto),
             "dense" => Some(SolverPolicy::Dense),
             "sparse" => Some(SolverPolicy::Sparse),
-            "compiled" => Some(SolverPolicy::Compiled),
             _ => None,
         }
     }
@@ -141,7 +135,7 @@ impl SolverPolicy {
         SolverPolicy::parse(raw).unwrap_or_else(|| {
             panic!(
                 "unrecognized ARCHREL_SOLVER value `{raw}`: \
-                 expected one of auto, dense, sparse, compiled"
+                 expected one of auto, dense, sparse"
             )
         })
     }
@@ -162,14 +156,12 @@ impl SolverPolicy {
     }
 
     /// Resolves the direct (non-plan) backend for a chain with `states`
-    /// states and `edges` explicit transitions. `Compiled` resolves like
-    /// `Auto`: the plan path answers its queries first, so this choice only
-    /// matters as a fallback.
+    /// states and `edges` explicit transitions.
     pub(crate) fn choose(self, states: usize, edges: usize) -> ChosenSolver {
         match self {
             SolverPolicy::Dense => ChosenSolver::Dense,
             SolverPolicy::Sparse => ChosenSolver::Sparse,
-            SolverPolicy::Auto | SolverPolicy::Compiled => {
+            SolverPolicy::Auto => {
                 let density = edges as f64 / (states as f64 * states as f64);
                 if states <= AUTO_DENSE_MAX_STATES
                     || (states <= AUTO_DENSE_DENSITY_MAX_STATES && density >= AUTO_DENSE_DENSITY)
@@ -182,16 +174,13 @@ impl SolverPolicy {
         }
     }
 
-    /// Whether a chain with `states` states and `edges` explicit
-    /// transitions is answered from a compiled plan: `Some(acyclic_only)`
-    /// — `Compiled` compiles every structure, `Auto` only acyclic ones in
-    /// its sparse regime — or `None` when the direct solver answers.
-    pub(crate) fn plan_compilation(self, states: usize, edges: usize) -> Option<bool> {
-        match self {
-            SolverPolicy::Compiled => Some(false),
-            SolverPolicy::Auto if self.choose(states, edges) == ChosenSolver::Sparse => Some(true),
-            _ => None,
-        }
+    /// Whether a plan answers a chain with `states` states and `edges`
+    /// explicit transitions when its structure is acyclic: under `Auto` in
+    /// its sparse regime, where the plan's tape replays the sparse
+    /// back-substitution bit for bit. Otherwise (and for cyclic
+    /// structures) the direct solver answers.
+    pub(crate) fn plan_compilation(self, states: usize, edges: usize) -> bool {
+        self == SolverPolicy::Auto && self.choose(states, edges) == ChosenSolver::Sparse
     }
 }
 
@@ -270,13 +259,11 @@ pub struct CacheStats {
     pub plan_hits: u64,
     /// Plan-cache lookups that had to compile (or classify) a structure.
     pub plan_misses: u64,
-    /// Plan evaluations answered *without* a refactorization: straight-line
-    /// tape replays, back-substitutions against the compile-time baseline
-    /// factorization, and Sherman–Morrison rank-1 updates.
+    /// Plan tape replays: every plan evaluation, scalar or one lane of a
+    /// block. The name is kept for existing readers of the field.
     pub rank1_solves: u64,
-    /// Plan evaluations that fell back to a full refactorization (more than
-    /// one transient row changed, or the rank-1 update was numerically
-    /// refused).
+    /// Always 0: a plan evaluation is a tape replay, which never
+    /// refactorizes. Kept for existing readers of the field.
     pub full_solves: u64,
     /// Staged parameter rows answered through the lane-blocked replay path
     /// ([`archrel_markov::SolvePlan::evaluate_block`]).
@@ -292,8 +279,7 @@ pub struct CacheStats {
     /// parameters directly into [`ParamBlock`] rows (no intermediate
     /// `Bindings`, no chain rebuild).
     pub stage_nanos: u64,
-    /// Nanoseconds spent inside blocked plan replays — the tape replay
-    /// itself plus the cyclic lane-by-lane fallback.
+    /// Nanoseconds spent inside blocked plan replays.
     pub replay_nanos: u64,
     /// Compiled plans evicted from the bounded plan cache (LRU on structure
     /// fingerprint).
@@ -484,9 +470,9 @@ impl CacheCounters {
 pub(crate) enum PlanEntry {
     /// A compiled plan, ready to evaluate.
     Plan(Arc<SolvePlan>),
-    /// The structure is cyclic and the caller asked for acyclic-only
-    /// compilation (`Auto` promotion): remembered so the sparse fallback is
-    /// taken without re-running the classification every solve.
+    /// The structure is cyclic, so no plan answers it: remembered so the
+    /// direct solver is taken without re-running the classification every
+    /// solve.
     CyclicUncompiled,
     /// The target is structurally unreachable from the source. The solve
     /// error is remembered verbatim so the plan path reports exactly what
@@ -515,8 +501,8 @@ pub struct PlanCache {
     clock: AtomicU64,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
-    rank1_solves: AtomicU64,
-    full_solves: AtomicU64,
+    /// Plan tape replays (reported as [`CacheStats::rank1_solves`]).
+    tape_replays: AtomicU64,
     evictions: AtomicU64,
     block_points: AtomicU64,
     block_flushes: AtomicU64,
@@ -528,7 +514,7 @@ pub struct PlanCache {
     /// *group* (e.g. [`PlanCache::record_block`]'s four related adds) hold a
     /// read guard, while [`PlanCache::stats`] snapshots under the write
     /// guard — so a snapshot never observes a torn group (block flushes
-    /// without their points, rank-1 solves without their flush). Individual
+    /// without their points, tape replays without their flush). Individual
     /// counters stay plain relaxed atomics; the gate is only contended for
     /// the duration of a handful of `fetch_add`s.
     stats_gate: RwLock<()>,
@@ -577,8 +563,7 @@ impl PlanCache {
             clock: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
-            rank1_solves: AtomicU64::new(0),
-            full_solves: AtomicU64::new(0),
+            tape_replays: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             block_points: AtomicU64::new(0),
             block_flushes: AtomicU64::new(0),
@@ -635,95 +620,62 @@ impl PlanCache {
         *count
     }
 
-    /// Looks up (or compiles) the entry for a structure. With
-    /// `acyclic_only`, cyclic structures are classified but not compiled.
+    /// Looks up (or compiles) the entry for a structure.
     pub(crate) fn entry(
         &self,
         fingerprint: u64,
         chain: &archrel_markov::Dtmc<AugmentedState>,
         from: &AugmentedState,
         target: &AugmentedState,
-        acyclic_only: bool,
     ) -> archrel_markov::Result<PlanEntry> {
         if let Some(slot) = self.plans.read().get(&fingerprint) {
-            // An acyclic-only caller can use a fully compiled entry, but a
-            // `CyclicUncompiled` marker does not satisfy a full-compilation
-            // request — fall through and compile in that case.
-            if !matches!(
-                (acyclic_only, &slot.entry),
-                (false, PlanEntry::CyclicUncompiled)
-            ) {
-                slot.last_used.store(self.tick(), Ordering::Relaxed);
-                self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(slot.entry.clone());
-            }
+            slot.last_used.store(self.tick(), Ordering::Relaxed);
+            self.plan_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(slot.entry.clone());
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         // Read-through: an archived artifact for this structure (published
         // by an earlier process sharing the artifact directory) replaces
-        // the compile step entirely. An acyclic-only caller ignores an
-        // archived *cyclic* plan so the `Auto` classification outcome — and
-        // hence every downstream number — matches a store-less run exactly.
-        let archived = self.store.as_ref().and_then(|store| {
-            store
-                .load_plan(fingerprint)
-                .filter(|plan| !acyclic_only || plan.is_acyclic())
-                .map(Arc::new)
-        });
+        // the compile step entirely. Archives hold tapes only, and a tape
+        // answers exactly what a fresh compile would, so a store never
+        // changes a number.
+        let archived = self
+            .store
+            .as_ref()
+            .and_then(|store| store.load_plan(fingerprint).map(Arc::new));
         let fresh = match archived {
             Some(plan) => PlanEntry::Plan(plan),
-            None => {
-                let compiled = if acyclic_only {
-                    SolvePlan::compile_acyclic(chain, from, target).map(|p| p.map(Arc::new))
-                } else {
-                    SolvePlan::compile(chain, from, target).map(|p| Some(Arc::new(p)))
-                };
-                match compiled {
-                    Ok(Some(plan)) => {
-                        // Write-behind: publication failures are non-fatal
-                        // (the in-memory plan is used either way) and
-                        // surface only through the store's counters.
-                        if let Some(store) = &self.store {
-                            let _ = store.store_plan(&plan);
-                        }
-                        PlanEntry::Plan(plan)
+            None => match SolvePlan::compile(chain, from, target) {
+                Ok(Some(plan)) => {
+                    let plan = Arc::new(plan);
+                    // Write-behind: publication failures are non-fatal (the
+                    // in-memory plan is used either way) and surface only
+                    // through the store's counters.
+                    if let Some(store) = &self.store {
+                        let _ = store.store_plan(&plan);
                     }
-                    Ok(None) => PlanEntry::CyclicUncompiled,
-                    Err(archrel_markov::MarkovError::UnreachableTarget { from, target }) => {
-                        PlanEntry::Unreachable { from, target }
-                    }
-                    // Other validation errors (trapped mass, not an
-                    // absorbing chain, ...) are not cached: the direct
-                    // solvers re-derive them and the caller propagates them
-                    // either way.
-                    Err(e) => return Err(e),
+                    PlanEntry::Plan(plan)
                 }
-            }
+                Ok(None) => PlanEntry::CyclicUncompiled,
+                Err(archrel_markov::MarkovError::UnreachableTarget { from, target }) => {
+                    PlanEntry::Unreachable { from, target }
+                }
+                // Other validation errors (trapped mass, not an absorbing
+                // chain, ...) are not cached: the direct solvers re-derive
+                // them and the caller propagates them either way.
+                Err(e) => return Err(e),
+            },
         };
         let stamp = self.tick();
         let mut plans = self.plans.write();
-        let entry = match plans.entry(fingerprint) {
-            // First insertion wins, so concurrent compilers of the same
-            // structure all converge on one shared plan instance...
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                let slot = occupied.get_mut();
-                // ...except a full compilation upgrades a cyclic marker.
-                if matches!(slot.entry, PlanEntry::CyclicUncompiled)
-                    && matches!(fresh, PlanEntry::Plan(_))
-                {
-                    slot.entry = fresh;
-                }
-                slot.last_used.store(stamp, Ordering::Relaxed);
-                slot.entry.clone()
-            }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert(PlanSlot {
-                    entry: fresh.clone(),
-                    last_used: AtomicU64::new(stamp),
-                });
-                fresh
-            }
-        };
+        // First insertion wins, so concurrent compilers of the same
+        // structure all converge on one shared plan instance.
+        let slot = plans.entry(fingerprint).or_insert_with(|| PlanSlot {
+            entry: fresh,
+            last_used: AtomicU64::new(stamp),
+        });
+        slot.last_used.store(stamp, Ordering::Relaxed);
+        let entry = slot.entry.clone();
         self.evict_to_capacity(&mut plans, fingerprint);
         Ok(entry)
     }
@@ -745,27 +697,21 @@ impl PlanCache {
         }
     }
 
-    pub(crate) fn record(&self, kind: PlanSolveKind) {
-        match kind {
-            PlanSolveKind::Tape | PlanSolveKind::Rank1 => {
-                self.rank1_solves.fetch_add(1, Ordering::Relaxed)
-            }
-            PlanSolveKind::Full => self.full_solves.fetch_add(1, Ordering::Relaxed),
-        };
+    /// Counts one scalar plan tape replay.
+    pub(crate) fn record(&self) {
+        self.tape_replays.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one block flush's per-lane solve kinds into the counters.
+    /// Folds one block flush of `points` tape-replayed lanes into the
+    /// counters.
     ///
     /// The whole group lands under one `stats_gate` read guard so a
     /// concurrent [`PlanCache::stats`] snapshot sees the flush together
-    /// with its points and solve kinds, never a torn mixture.
-    fn record_block(&self, kinds: BlockSolveKinds) {
+    /// with its points and replays, never a torn mixture.
+    fn record_block(&self, points: u64) {
         let _group = self.stats_gate.read();
-        self.rank1_solves
-            .fetch_add(kinds.tape + kinds.rank1, Ordering::Relaxed);
-        self.full_solves.fetch_add(kinds.full, Ordering::Relaxed);
-        self.block_points
-            .fetch_add(kinds.tape + kinds.rank1 + kinds.full, Ordering::Relaxed);
+        self.tape_replays.fetch_add(points, Ordering::Relaxed);
+        self.block_points.fetch_add(points, Ordering::Relaxed);
         self.block_flushes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -783,15 +729,15 @@ impl PlanCache {
         }
     }
 
-    /// A snapshot of this cache's own counters (plan hits/misses, solve
-    /// kinds, blocked-replay tallies, and the stage/replay phase
+    /// A snapshot of this cache's own counters (plan hits/misses, tape
+    /// replays, blocked-replay tallies, and the stage/replay phase
     /// nanoseconds). Callers that share one cache across many short-lived
     /// evaluators — the sweep drivers, the benches — read the sweep-wide
     /// phase split here; [`Evaluator::cache_stats`] folds the same counters
     /// into its per-evaluator view.
     ///
     /// The snapshot is *group-atomic*: multi-counter update groups (one
-    /// block flush's points + flush + solve kinds) are excluded for the
+    /// block flush's points + flush + tape replays) are excluded for the
     /// duration of the read, so related counters are always mutually
     /// consistent — the invariant the daemon's `stats` op relies on when
     /// aggregating across concurrent requests.
@@ -808,8 +754,7 @@ impl PlanCache {
         let _snapshot = self.stats_gate.write();
         stats.plan_hits = self.plan_hits.load(Ordering::Relaxed);
         stats.plan_misses = self.plan_misses.load(Ordering::Relaxed);
-        stats.rank1_solves = self.rank1_solves.load(Ordering::Relaxed);
-        stats.full_solves = self.full_solves.load(Ordering::Relaxed);
+        stats.rank1_solves = self.tape_replays.load(Ordering::Relaxed);
         stats.block_points = self.block_points.load(Ordering::Relaxed);
         stats.block_flushes = self.block_flushes.load(Ordering::Relaxed);
         stats.stage_nanos = self.stage_nanos.load(Ordering::Relaxed);
@@ -826,11 +771,7 @@ impl PlanCache {
 
     /// Installs archived plans for the given structure fingerprints ahead
     /// of demand (a compiled program's bundle warm-start); returns how many
-    /// were loaded. Only *acyclic* archives are installed: an `Auto` caller
-    /// must reach the same classification outcome as a store-less run (a
-    /// pre-installed cyclic plan would silently replace its sparse
-    /// fallback), while full-compilation callers still pick archived cyclic
-    /// plans up through the read-through path.
+    /// were loaded.
     pub fn prefetch_archived(&self, fingerprints: &[u64]) -> usize {
         let Some(store) = &self.store else { return 0 };
         let mut loaded = 0;
@@ -838,7 +779,7 @@ impl PlanCache {
             if self.plans.read().contains_key(&fingerprint) {
                 continue;
             }
-            let Some(plan) = store.load_plan(fingerprint).filter(|p| p.is_acyclic()) else {
+            let Some(plan) = store.load_plan(fingerprint) else {
                 continue;
             };
             let stamp = self.tick();
@@ -1294,9 +1235,9 @@ impl<'a> Evaluator<'a> {
             .fetch_add(updates, Ordering::Relaxed);
     }
 
-    /// Records one plan-path solve kind (shared with the program path).
-    pub(crate) fn record_plan_solve(&self, kind: PlanSolveKind) {
-        self.plans.record(kind);
+    /// Counts one scalar plan tape replay (shared with the program path).
+    pub(crate) fn record_plan_replay(&self) {
+        self.plans.record();
     }
 
     /// Folds one absorbing-chain solve into the solve counters (shared
@@ -1321,16 +1262,6 @@ impl<'a> Evaluator<'a> {
         self.counters
             .aitken_fallbacks
             .fetch_add(solver.fallbacks(), Ordering::Relaxed);
-    }
-
-    /// Whether the solver policy can ever route a chain of this shape
-    /// through the plan path (so the program's cached chains know whether
-    /// to keep asking [`Evaluator::plan_for_chain`]).
-    pub(crate) fn plan_gate(&self, states: usize, edges: usize) -> bool {
-        self.options
-            .solver
-            .plan_compilation(states, edges)
-            .is_some()
     }
 
     /// `Pfail(S, fp)`: probability that `service` fails to complete its task
@@ -1604,7 +1535,6 @@ impl<'a> Evaluator<'a> {
     ///
     /// Single-column solve throughout: only `p*(· → End)` is needed, so
     /// every backend skips the full fundamental-matrix inversion. Under
-    /// [`SolverPolicy::Compiled`] a plan always answers. Under
     /// [`SolverPolicy::Auto`] in the sparse regime, a structure seen at
     /// least [`AUTO_PLAN_MIN_SEEN`] times is promoted to a compiled acyclic
     /// tape — which replays the sparse back-substitution bit-for-bit, so
@@ -1620,8 +1550,8 @@ impl<'a> Evaluator<'a> {
             Some(plan) => PLAN_EVAL_TLS.with(|tls| {
                 let (params, scratch) = &mut *tls.borrow_mut();
                 plan.parameters_into(chain, params)?;
-                let (value, kind) = plan.evaluate_scratch(params, scratch)?;
-                self.plans.record(kind);
+                let value = plan.evaluate_scratch(params, scratch)?;
+                self.plans.record();
                 Ok(value)
             }),
             None => self.direct_solve(chain, start, end),
@@ -1631,7 +1561,7 @@ impl<'a> Evaluator<'a> {
     /// Resolves the plan-path gating for one chain: `Ok(Some(plan))` when a
     /// compiled plan should answer, `Ok(None)` when the direct solver should
     /// run (policy excludes plans, structure still cold under `Auto`, or
-    /// cyclic under acyclic-only promotion).
+    /// cyclic).
     ///
     /// Shared by the recursive [`Evaluator::solve_flow_chain`] and the
     /// compiled programs' cached flow chains, so sighting counts and cache
@@ -1643,18 +1573,14 @@ impl<'a> Evaluator<'a> {
         start: &AugmentedState,
         end: &AugmentedState,
     ) -> archrel_markov::Result<Option<Arc<SolvePlan>>> {
-        let acyclic_only = self
+        if self
             .options
             .solver
-            .plan_compilation(chain.len(), chain.edge_count());
-        if let Some(acyclic_only) = acyclic_only {
+            .plan_compilation(chain.len(), chain.edge_count())
+        {
             let fingerprint = structure_fingerprint(chain, start, end);
-            let warm = !acyclic_only || self.plans.note_seen(fingerprint) >= AUTO_PLAN_MIN_SEEN;
-            if warm {
-                match self
-                    .plans
-                    .entry(fingerprint, chain, start, end, acyclic_only)?
-                {
+            if self.plans.note_seen(fingerprint) >= AUTO_PLAN_MIN_SEEN {
+                match self.plans.entry(fingerprint, chain, start, end)? {
                     PlanEntry::Plan(plan) => return Ok(Some(plan)),
                     PlanEntry::CyclicUncompiled => {}
                     PlanEntry::Unreachable { from, target } => {
@@ -1812,7 +1738,6 @@ pub(crate) struct FlowBlockAccumulator {
     plans: Arc<PlanCache>,
     pending: Vec<PendingBlock>,
     scratch: PlanScratch,
-    params_buf: Vec<f64>,
     errors: Vec<(usize, crate::CoreError)>,
 }
 
@@ -1828,7 +1753,6 @@ impl FlowBlockAccumulator {
             plans,
             pending: Vec::new(),
             scratch: PlanScratch::new(),
-            params_buf: Vec::new(),
             errors: Vec::new(),
         }
     }
@@ -1895,24 +1819,23 @@ impl FlowBlockAccumulator {
         }
         match pending
             .plan
-            .evaluate_block_with_kinds(&pending.block, &mut self.scratch)
+            .evaluate_block(&pending.block, &mut self.scratch)
         {
-            Ok((values, kinds)) => {
+            Ok(values) => {
                 for (lane, &value) in values.iter().enumerate() {
                     out[pending.tags[lane]] = value;
                 }
-                self.plans.record_block(kinds);
+                self.plans.record_block(occupied as u64);
             }
             Err(_) => {
                 // Replay each lane on the scalar path so the error lands on
                 // exactly the point that caused it; healthy lanes still
                 // produce their (bitwise-identical) values.
                 for lane in 0..occupied {
-                    pending.block.lane_params_into(lane, &mut self.params_buf);
-                    match pending.plan.evaluate_with_kind(&self.params_buf) {
-                        Ok((value, kind)) => {
+                    match pending.plan.evaluate(pending.block.lane(lane)) {
+                        Ok(value) => {
                             out[pending.tags[lane]] = value;
-                            self.plans.record(kind);
+                            self.plans.record();
                         }
                         Err(e) => self.errors.push((pending.tags[lane], e.into())),
                     }
@@ -2257,32 +2180,29 @@ mod tests {
         assert_eq!(SolverPolicy::parse("auto"), Some(SolverPolicy::Auto));
         assert_eq!(SolverPolicy::parse("Dense"), Some(SolverPolicy::Dense));
         assert_eq!(SolverPolicy::parse(" SPARSE "), Some(SolverPolicy::Sparse));
-        assert_eq!(
-            SolverPolicy::parse("Compiled"),
-            Some(SolverPolicy::Compiled)
-        );
         assert_eq!(SolverPolicy::parse("lu"), None);
+        assert_eq!(SolverPolicy::parse("compiled"), None);
     }
 
     #[test]
     fn unrecognized_env_solver_value_is_a_hard_error() {
         // Recognized spellings parse through the env entry point...
         assert_eq!(
-            SolverPolicy::parse_env_value("compiled"),
-            SolverPolicy::Compiled
+            SolverPolicy::parse_env_value("sparse"),
+            SolverPolicy::Sparse
         );
-        // ...but a typo must panic with the accepted values listed, not
-        // silently fall back to the default policy. `parse_env_value` is
-        // probed directly (instead of setting the process-global variable)
-        // so parallel tests reading `ARCHREL_SOLVER` are not perturbed.
-        let err = std::panic::catch_unwind(|| SolverPolicy::parse_env_value("sprase"))
-            .expect_err("typo must not parse");
-        let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(message.contains("sprase"), "{message}");
-        assert!(
-            message.contains("auto, dense, sparse, compiled"),
-            "{message}"
-        );
+        // ...but a typo, or `compiled`, must panic with the accepted values
+        // listed, not silently fall back to the default policy.
+        // `parse_env_value` is probed directly (instead of setting the
+        // process-global variable) so parallel tests reading
+        // `ARCHREL_SOLVER` are not perturbed.
+        for bad in ["sprase", "compiled"] {
+            let err = std::panic::catch_unwind(|| SolverPolicy::parse_env_value(bad))
+                .expect_err("unknown value must not parse");
+            let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(message.contains(bad), "{message}");
+            assert!(message.ends_with("auto, dense, sparse"), "{message}");
+        }
     }
 
     #[test]
@@ -2295,7 +2215,6 @@ mod tests {
             SolverPolicy::Auto,
             SolverPolicy::Dense,
             SolverPolicy::Sparse,
-            SolverPolicy::Compiled,
         ] {
             let p = Evaluator::with_options(
                 &a,
@@ -2331,7 +2250,6 @@ mod tests {
             SolverPolicy::Auto,
             SolverPolicy::Dense,
             SolverPolicy::Sparse,
-            SolverPolicy::Compiled,
         ] {
             let p = Evaluator::with_options(
                 &a,
@@ -2382,42 +2300,6 @@ mod tests {
             solver: policy,
             ..EvalOptions::default()
         }
-    }
-
-    #[test]
-    fn compiled_policy_is_bitwise_identical_to_sparse_on_acyclic_flows() {
-        use archrel_model::paper;
-        // The acyclic plan tape replays exactly the arithmetic of the sparse
-        // solver's exact elimination, so the two policies must agree to the
-        // last bit on the paper's (acyclic) flows.
-        let assembly = paper::local_assembly(&paper::PaperParams::default()).unwrap();
-        // One plan cache shared by fresh evaluators, as the daemon shares
-        // it: every point is its evaluator's first sighting, so the
-        // recursive walk re-looks each plan up in the cache (an assembly
-        // program would pin the plan instead).
-        let plans = Arc::new(PlanCache::new());
-        for n in [256.0, 1024.0, 4096.0] {
-            let env = paper::search_bindings(4.0, n, 1.0);
-            let want = Evaluator::with_options(&assembly, forced(SolverPolicy::Sparse))
-                .failure_probability(&paper::SEARCH.into(), &env)
-                .unwrap();
-            let compiled = Evaluator::with_plan_cache(
-                &assembly,
-                forced(SolverPolicy::Compiled),
-                Arc::clone(&plans),
-            );
-            let got = compiled
-                .failure_probability(&paper::SEARCH.into(), &env)
-                .unwrap();
-            assert_eq!(want.value().to_bits(), got.value().to_bits(), "n = {n}");
-            assert_eq!(compiled.cache_stats().programs_compiled, 0);
-        }
-        // The plan was compiled once and replayed for the later sweeps.
-        let stats = plans.stats();
-        assert!(stats.plan_misses >= 1, "{stats:?}");
-        assert!(stats.plan_hits >= 1, "{stats:?}");
-        assert!(stats.rank1_solves >= 3, "{stats:?}");
-        assert_eq!(stats.full_solves, 0, "{stats:?}");
     }
 
     #[test]
@@ -2497,85 +2379,21 @@ mod tests {
     }
 
     #[test]
-    fn compiled_policy_handles_cyclic_flows_with_rank1_and_full_fallback() {
-        // Cyclic retry flow: a → b → a with an escape to End. Compiled plans
-        // keep the compile-time LU factorization; re-evaluating with the
-        // baseline parameters is a back-substitution, while a sweep that
-        // moves both transient rows forces a full refactorization. Both must
-        // match the dense solver.
-        let flow = FlowBuilder::new()
-            .state(FlowState::new(
-                "a",
-                vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::param("n"))],
-            ))
-            .state(FlowState::new(
-                "b",
-                vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::param("n"))],
-            ))
-            .transition(StateId::Start, "a", Expr::one())
-            .transition("a", "b", Expr::num(0.9))
-            .transition("a", StateId::End, Expr::num(0.1))
-            .transition("b", "a", Expr::one())
-            .build()
-            .unwrap();
-        let assembly = AssemblyBuilder::new()
-            .service(catalog::cpu_resource("cpu", 1e9, 1e-7))
-            .service(Service::Composite(
-                CompositeService::new("app", vec!["n".into()], flow).unwrap(),
-            ))
-            .build()
-            .unwrap();
-        // The rank-1/full-solve counters below belong to the plan cache,
-        // which an assembly program bypasses via its pinned per-runtime
-        // plans: fresh evaluators over one shared cache stay recursive.
-        let plans = Arc::new(PlanCache::new());
-        for n in [1e6, 5e6] {
-            let env = Bindings::new().with("n", n);
-            let want = Evaluator::with_options(&assembly, forced(SolverPolicy::Dense))
-                .failure_probability(&"app".into(), &env)
-                .unwrap();
-            let got = Evaluator::with_plan_cache(
-                &assembly,
-                forced(SolverPolicy::Compiled),
-                Arc::clone(&plans),
-            )
-            .failure_probability(&"app".into(), &env)
-            .unwrap();
-            assert!(
-                (want.value() - got.value()).abs() < 1e-10,
-                "n = {n}: dense {} vs compiled {}",
-                want.value(),
-                got.value()
-            );
-            assert!(got.value() > 0.0);
-        }
-        let stats = plans.stats();
-        assert_eq!(stats.plan_misses, 1, "{stats:?}");
-        assert_eq!(stats.plan_hits, 1, "{stats:?}");
-        // First sweep replays the baseline factorization; the second moves
-        // both transient rows and must fall back to a full refactorization.
-        assert_eq!(stats.rank1_solves, 1, "{stats:?}");
-        assert_eq!(stats.full_solves, 1, "{stats:?}");
-    }
-
-    #[test]
     fn plan_cache_capacity_evicts_least_recently_used_structures() {
-        // Two structurally different composites over a capacity-1 cache:
-        // each compile evicts the other, and the counter records it.
+        // Two structurally different sparse-regime composites over a
+        // capacity-1 cache: each compile evicts the other, and the counter
+        // records it.
+        use crate::testkit::to_end_via_tail;
         let flow_a = FlowBuilder::new()
             .state(FlowState::new("1", vec![call("leaf")]))
-            .transition(StateId::Start, "1", Expr::one())
-            .transition("1", StateId::End, Expr::one())
-            .build()
-            .unwrap();
+            .transition(StateId::Start, "1", Expr::one());
+        let flow_a = to_end_via_tail(flow_a, "1", Expr::one()).build().unwrap();
         let flow_b = FlowBuilder::new()
             .state(FlowState::new("1", vec![call("leaf")]))
             .state(FlowState::new("2", vec![call("leaf")]))
             .transition(StateId::Start, "1", Expr::one())
-            .transition("1", "2", Expr::one())
-            .transition("2", StateId::End, Expr::one())
-            .build()
-            .unwrap();
+            .transition("1", "2", Expr::one());
+        let flow_b = to_end_via_tail(flow_b, "2", Expr::one()).build().unwrap();
         let assembly = AssemblyBuilder::new()
             .service(constant_service("leaf", 0.05))
             .service(Service::Composite(
@@ -2592,12 +2410,13 @@ mod tests {
         // the plan up in the shared cache; a program would pin both plans
         // and never touch it again. A fresh evaluator per visit keeps every
         // visit a first sighting, on the recursive walk, and its value
-        // cache cold.
+        // cache cold. Each structure is visited twice in a row: an eviction
+        // forgets its sighting count, so its second visit re-compiles.
         for _ in 0..3 {
-            for svc in ["a", "b"] {
+            for svc in ["a", "a", "b", "b"] {
                 let eval = Evaluator::with_plan_cache(
                     &assembly,
-                    forced(SolverPolicy::Compiled),
+                    forced(SolverPolicy::Auto),
                     Arc::clone(&plans),
                 );
                 eval.failure_probability(&svc.into(), &Bindings::new())
@@ -2621,7 +2440,7 @@ mod tests {
         // flush; it must not poison its block-mates.
         let bad = Bindings::new();
         let envs: Vec<&Bindings> = vec![&good, &bad, &good, &good];
-        let eval = Evaluator::with_options(&assembly, forced(SolverPolicy::Compiled));
+        let eval = Evaluator::with_options(&assembly, forced(SolverPolicy::Auto));
         let got = eval.failure_probabilities(&service, &envs);
         assert_eq!(eval.cache_stats().programs_compiled, 1);
         assert!(got[0].is_ok());
@@ -2951,8 +2770,8 @@ mod tests {
 
     /// Regression (serve daemon stats op): `PlanCache::stats()` must never
     /// observe a *torn* multi-counter group. Each `record_block` call adds
-    /// `LANES` points as tape solves plus one flush in four separate atomic
-    /// adds; without the stats gate a concurrent snapshot could see the
+    /// `LANES` points as tape replays plus one flush in three separate
+    /// atomic adds; without the stats gate a concurrent snapshot could see the
     /// flush without its points (or vice versa). Hammer the group from
     /// several threads while snapshotting and assert the group invariants
     /// hold in every snapshot.
@@ -2967,11 +2786,7 @@ mod tests {
             for _ in 0..WRITERS {
                 scope.spawn(|| {
                     for _ in 0..FLUSHES_PER_WRITER {
-                        cache.record_block(BlockSolveKinds {
-                            tape: LANES,
-                            rank1: 0,
-                            full: 0,
-                        });
+                        cache.record_block(LANES);
                     }
                     live_writers.fetch_sub(1, Ordering::Relaxed);
                 });
@@ -3126,7 +2941,6 @@ mod tests {
     /// sharing it through one value cache publish it once.
     #[test]
     fn shared_program_publishes_its_bundle_once() {
-        use archrel_model::paper;
         use archrel_store::{ArtifactMode, ArtifactStore};
         let dir = std::env::temp_dir().join(format!(
             "archrel-bundle-once-{}-{:?}",
@@ -3136,25 +2950,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(ArtifactStore::open(&dir, ArtifactMode::ReadWrite).unwrap());
         let plans = Arc::new(PlanCache::new().with_artifact_store(Some(Arc::clone(&store))));
-        let assembly = paper::remote_assembly(&paper::PaperParams::default()).unwrap();
-        let service: ServiceId = paper::SEARCH.into();
+        // A sparse-regime acyclic flow, so the program pins a plan.
+        let flow = FlowBuilder::new()
+            .state(FlowState::new(
+                "work",
+                vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::param("n"))],
+            ))
+            .transition(StateId::Start, "work", Expr::one());
+        let flow = crate::testkit::to_end_via_tail(flow, "work", Expr::one())
+            .build()
+            .unwrap();
+        let assembly = AssemblyBuilder::new()
+            .service(catalog::cpu_resource("cpu", 1e9, 1e-9))
+            .service(Service::Composite(
+                CompositeService::new("app", vec!["n".into()], flow).unwrap(),
+            ))
+            .build()
+            .unwrap();
+        let service: ServiceId = "app".into();
         let fresh = sharing_evaluators(
             &assembly,
             &plans,
             &Arc::new(ValueCache::new()),
-            forced(SolverPolicy::Compiled),
+            forced(SolverPolicy::Auto),
         );
         let mut compiled = 0;
         for i in 1..=6 {
             let eval = fresh();
-            eval.failure_probability(
-                &service,
-                &paper::search_bindings(4.0, 64.0 * f64::from(i), 1.0),
-            )
-            .unwrap();
+            eval.failure_probability(&service, &Bindings::new().with("n", 1e6 * f64::from(i)))
+                .unwrap();
             compiled += eval.local_stats().programs_compiled;
         }
         assert_eq!(compiled, 1);
+        assert!(plans.stats().plan_misses >= 1, "{:?}", plans.stats());
         let count = |prefix: &str| {
             std::fs::read_dir(&dir)
                 .unwrap()

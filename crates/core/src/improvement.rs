@@ -215,11 +215,11 @@ pub fn rank_levers(
 /// Every per-lever evaluation runs on a *rebuilt* assembly whose flow
 /// structures are unchanged (only the failure values scale), so all the
 /// fresh evaluators share one compiled-plan cache: under
-/// [`crate::SolverPolicy::Compiled`] (or [`crate::SolverPolicy::Auto`] on a
-/// sparse-regime acyclic flow) each flow structure is compiled once and
-/// every lever assessment replays the tape. The one exception — a lever
-/// whose zeroing drops a `Fail` edge entirely — changes the structure
-/// fingerprint and naturally compiles its own plan.
+/// [`crate::SolverPolicy::Auto`] on a sparse-regime acyclic flow each flow
+/// structure is compiled once and every lever assessment replays the
+/// tape. The one exception — a lever whose zeroing drops a `Fail` edge
+/// entirely — changes the structure fingerprint and naturally compiles its
+/// own plan.
 ///
 /// # Errors
 ///
@@ -512,8 +512,8 @@ mod tests {
         assert_eq!(result, Some(1.0));
     }
 
-    /// An acyclic assembly the staged sweep compiler accepts (bitwise
-    /// block ≡ scalar holds on the straight-line tape only).
+    /// An acyclic assembly the staged sweep compiler accepts under `Auto`:
+    /// the tail puts its chain in the sparse regime.
     fn stageable_assembly() -> (Assembly, Bindings) {
         use archrel_expr::Expr;
         use archrel_model::{FlowState, ServiceCall, StateId};
@@ -534,8 +534,8 @@ mod tests {
             .state(FlowState::new("b", vec![call_b]))
             .transition(StateId::Start, "a", Expr::num(0.6))
             .transition(StateId::Start, "b", Expr::num(0.4))
-            .transition("a", "b", Expr::one())
-            .transition("b", StateId::End, Expr::one())
+            .transition("a", "b", Expr::one());
+        let flow = crate::testkit::to_end_via_tail(flow, "b", Expr::one())
             .build()
             .unwrap();
         let assembly = AssemblyBuilder::new()
@@ -561,17 +561,26 @@ mod tests {
     }
 
     /// Staged lever assessments and bisection probes must be **bitwise**
-    /// identical to the generic rebuild-per-point path under the same
-    /// compiled-plan policy.
+    /// identical to the generic rebuild-per-point path under the default
+    /// policy.
     #[test]
     fn staged_improvement_matches_generic_rebuild_bitwise() {
+        use crate::staged::StagedSweep;
         use crate::SolverPolicy;
         let (assembly, env) = stageable_assembly();
         let service: ServiceId = "app".into();
         let options = EvalOptions {
-            solver: SolverPolicy::Compiled,
+            solver: SolverPolicy::Auto,
             ..EvalOptions::default()
         };
+        let plans = Arc::new(PlanCache::new());
+        assert!(
+            StagedSweep::compile(&assembly, &service, &env, &plans, options)
+                .unwrap()
+                .is_some(),
+            "the levers must take the staged path"
+        );
+        assert_eq!(plans.stats().plan_misses, 1);
         let ranked = rank_levers_with_options(&assembly, &service, &env, options).unwrap();
         // Generic reference: rebuild per lever, fresh shared-cache
         // evaluators, identical ordering criteria.

@@ -70,6 +70,8 @@ pub mod selection;
 pub mod sensitivity;
 mod staged;
 pub mod symbolic;
+#[cfg(test)]
+mod testkit;
 pub mod uncertainty;
 
 pub use augment::{augmented_chain, AugmentedState};

@@ -951,7 +951,10 @@ impl AssemblyProgram {
             merged_vals,
             fail_vals,
         )?;
-        let try_plan = evaluator.plan_gate(chain.len(), chain.edge_count());
+        let try_plan = evaluator
+            .options()
+            .solver
+            .plan_compilation(chain.len(), chain.edge_count());
         Ok(ChainCache {
             chain,
             edge_slots: slots.edges,
@@ -1017,8 +1020,8 @@ fn solve_cached_chain(
     match &cache.plan {
         Some(plan) => {
             plan.parameters_into(&cache.chain, &mut rt.params)?;
-            let (value, kind) = plan.evaluate_scratch(&rt.params, &mut rt.plan_scratch)?;
-            evaluator.record_plan_solve(kind);
+            let value = plan.evaluate_scratch(&rt.params, &mut rt.plan_scratch)?;
+            evaluator.record_plan_replay();
             Ok(value)
         }
         None => evaluator.direct_solve(&cache.chain, start, end),

@@ -229,11 +229,10 @@ impl<'a> FleetRefresh<'a> {
         &self.evaluator
     }
 
-    /// The driver's compiled-plan cache. Reference evaluations that must
-    /// match refreshed values **bitwise** evaluate over this cache: a
-    /// cyclic plan answers through rank-1/refactor steps anchored at its
-    /// compile-time base, so a plan compiled fresh elsewhere can differ in
-    /// the last ulp even for identical parameter rows.
+    /// The driver's compiled-plan cache, for plan-cache statistics
+    /// (staging time, tape replays) and for sharing plans with other
+    /// evaluators. Sharing it never changes a value: a fresh evaluator over
+    /// its own cache answers bitwise what this driver refreshes.
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.plans
     }
@@ -355,8 +354,10 @@ mod tests {
     }
 
     /// Two structurally identical front-end composites with disjoint
-    /// usage params (`f1_loop`, `f2_loop`), plus an aggregate calling one
-    /// of them (staging-ineligible: its call targets a composite).
+    /// usage params (`f1_skip`, `f2_skip`: the probability of leaving `b`
+    /// straight for `End` instead of through the call-free tail that puts
+    /// the front-ends in `Auto`'s sparse regime), plus an aggregate calling
+    /// one of them (staging-ineligible: its call targets a composite).
     fn fleet_assembly() -> Assembly {
         let front = |name: &str, p: &str| {
             let flow = FlowBuilder::new()
@@ -364,8 +365,8 @@ mod tests {
                 .state(FlowState::new("b", vec![call("disk", Expr::num(2.0))]))
                 .transition(StateId::Start, "a", Expr::one())
                 .transition("a", "b", Expr::one())
-                .transition("b", "a", Expr::param(p))
-                .transition("b", StateId::End, Expr::one() - Expr::param(p))
+                .transition("b", StateId::End, Expr::param(p));
+            let flow = crate::testkit::to_end_via_tail(flow, "b", Expr::one() - Expr::param(p))
                 .build()
                 .unwrap();
             Service::Composite(
@@ -379,7 +380,7 @@ mod tests {
                     target: "front1".into(),
                     actual_params: vec![
                         ("n".to_string(), Expr::param("agg_n")),
-                        ("f1_loop".to_string(), Expr::num(0.1)),
+                        ("f1_skip".to_string(), Expr::num(0.1)),
                     ],
                     connector: None,
                     internal_failure: InternalFailureModel::None,
@@ -392,8 +393,8 @@ mod tests {
         AssemblyBuilder::new()
             .service(simple("cpu", 0.02))
             .service(simple("disk", 0.01))
-            .service(front("front1", "f1_loop"))
-            .service(front("front2", "f2_loop"))
+            .service(front("front1", "f1_skip"))
+            .service(front("front2", "f2_skip"))
             .service(Service::Composite(
                 CompositeService::new("agg", vec!["agg_n".to_string()], agg_flow).unwrap(),
             ))
@@ -401,9 +402,9 @@ mod tests {
             .unwrap()
     }
 
-    fn compiled_options() -> EvalOptions {
+    fn auto_options() -> EvalOptions {
         EvalOptions {
-            solver: SolverPolicy::Compiled,
+            solver: SolverPolicy::Auto,
             ..EvalOptions::default()
         }
     }
@@ -412,15 +413,15 @@ mod tests {
         refresh
             .register(
                 "front1".into(),
-                Bindings::new().with("n", 5.0).with("f1_loop", 0.1),
-                &["f1_loop".to_string()],
+                Bindings::new().with("n", 5.0).with("f1_skip", 0.1),
+                &["f1_skip".to_string()],
             )
             .unwrap();
         refresh
             .register(
                 "front2".into(),
-                Bindings::new().with("n", 5.0).with("f2_loop", 0.2),
-                &["f2_loop".to_string()],
+                Bindings::new().with("n", 5.0).with("f2_skip", 0.2),
+                &["f2_skip".to_string()],
             )
             .unwrap();
         refresh
@@ -432,36 +433,34 @@ mod tests {
             .unwrap();
     }
 
-    /// The bitwise reference: a fresh evaluator sharing the refresh
-    /// driver's plan cache (cyclic plans anchor their rank-1/refactor
-    /// arithmetic at the cached plan's base, so only a shared cache pins
-    /// the last ulp — see [`FleetRefresh::plan_cache`]).
+    /// The bitwise reference: a fresh evaluator over its own plan cache.
     fn reference(refresh: &FleetRefresh<'_>, service: &str, env: &Bindings) -> Probability {
-        Evaluator::with_plan_cache(
-            refresh.assembly,
-            compiled_options(),
-            Arc::clone(refresh.plan_cache()),
-        )
-        .failure_probability(&service.into(), env)
-        .unwrap()
+        Evaluator::with_plan_cache(refresh.assembly, auto_options(), Arc::new(PlanCache::new()))
+            .failure_probability(&service.into(), env)
+            .unwrap()
     }
 
     #[test]
     fn register_matches_fresh_evaluation_bitwise() {
         let assembly = fleet_assembly();
-        let mut refresh = FleetRefresh::new(&assembly, compiled_options());
+        let mut refresh = FleetRefresh::new(&assembly, auto_options());
         register_fleet(&mut refresh);
         assert_eq!(refresh.len(), 3);
         // The two front-ends stage; the aggregate declines.
         assert_eq!(refresh.staged_count(), 2);
+        assert_eq!(
+            refresh.plan_cache().stats().plan_misses,
+            1,
+            "one shared tape"
+        );
         for (service, env) in [
             (
                 "front1",
-                Bindings::new().with("n", 5.0).with("f1_loop", 0.1),
+                Bindings::new().with("n", 5.0).with("f1_skip", 0.1),
             ),
             (
                 "front2",
-                Bindings::new().with("n", 5.0).with("f2_loop", 0.2),
+                Bindings::new().with("n", 5.0).with("f2_skip", 0.2),
             ),
             ("agg", Bindings::new().with("agg_n", 4.0)),
         ] {
@@ -484,11 +483,11 @@ mod tests {
     #[test]
     fn deltas_refresh_only_dirty_services_bitwise() {
         let assembly = fleet_assembly();
-        let mut refresh = FleetRefresh::new(&assembly, compiled_options());
+        let mut refresh = FleetRefresh::new(&assembly, auto_options());
         register_fleet(&mut refresh);
         let front2_before = refresh.failure(&"front2".into()).unwrap();
         let stats = refresh
-            .apply(&[("f1_loop".to_string(), 0.3), ("agg_n".to_string(), 6.0)])
+            .apply(&[("f1_skip".to_string(), 0.3), ("agg_n".to_string(), 6.0)])
             .unwrap();
         assert_eq!(stats.deltas_routed, 2);
         assert_eq!(stats.services_refreshed, 2);
@@ -504,7 +503,7 @@ mod tests {
         let expected = reference(
             &refresh,
             "front1",
-            &Bindings::new().with("n", 5.0).with("f1_loop", 0.3),
+            &Bindings::new().with("n", 5.0).with("f1_skip", 0.3),
         );
         assert_eq!(
             refresh.failure(&"front1".into()).unwrap().value().to_bits(),
@@ -520,12 +519,12 @@ mod tests {
     #[test]
     fn sequential_deltas_stay_pinned_to_reference() {
         let assembly = fleet_assembly();
-        let mut refresh = FleetRefresh::new(&assembly, compiled_options());
+        let mut refresh = FleetRefresh::new(&assembly, auto_options());
         register_fleet(&mut refresh);
-        let mut env = Bindings::new().with("n", 5.0).with("f1_loop", 0.1);
+        let mut env = Bindings::new().with("n", 5.0).with("f1_skip", 0.1);
         for p in [0.15, 0.02, 0.4, 0.4, 0.33] {
-            refresh.apply(&[("f1_loop".to_string(), p)]).unwrap();
-            env.insert("f1_loop", p);
+            refresh.apply(&[("f1_skip".to_string(), p)]).unwrap();
+            env.insert("f1_skip", p);
             let expected = reference(&refresh, "front1", &env);
             assert_eq!(
                 refresh.failure(&"front1".into()).unwrap().value().to_bits(),
@@ -537,16 +536,16 @@ mod tests {
     #[test]
     fn structural_fallback_recovers_staging() {
         let assembly = fleet_assembly();
-        let mut refresh = FleetRefresh::new(&assembly, compiled_options());
+        let mut refresh = FleetRefresh::new(&assembly, auto_options());
         register_fleet(&mut refresh);
-        // p = 0 drops the retry edge: structural fallback to the generic
+        // p = 0 drops the skip edge: structural fallback to the generic
         // evaluator.
-        let stats = refresh.apply(&[("f1_loop".to_string(), 0.0)]).unwrap();
+        let stats = refresh.apply(&[("f1_skip".to_string(), 0.0)]).unwrap();
         assert_eq!(stats.fallback_solves, 1);
         let expected = reference(
             &refresh,
             "front1",
-            &Bindings::new().with("n", 5.0).with("f1_loop", 0.0),
+            &Bindings::new().with("n", 5.0).with("f1_skip", 0.0),
         );
         assert_eq!(
             refresh.failure(&"front1".into()).unwrap().value().to_bits(),
@@ -554,20 +553,20 @@ mod tests {
         );
         // Moving back onto stageable ground rebuilds the center and
         // resumes the staged path.
-        let stats = refresh.apply(&[("f1_loop".to_string(), 0.25)]).unwrap();
+        let stats = refresh.apply(&[("f1_skip".to_string(), 0.25)]).unwrap();
         assert_eq!(stats.restaged_centers, 1);
         assert_eq!(stats.staged_rows, 1);
         let expected = reference(
             &refresh,
             "front1",
-            &Bindings::new().with("n", 5.0).with("f1_loop", 0.25),
+            &Bindings::new().with("n", 5.0).with("f1_skip", 0.25),
         );
         assert_eq!(
             refresh.failure(&"front1".into()).unwrap().value().to_bits(),
             expected.value().to_bits()
         );
         // And the staged path keeps working afterwards.
-        let stats = refresh.apply(&[("f1_loop".to_string(), 0.3)]).unwrap();
+        let stats = refresh.apply(&[("f1_skip".to_string(), 0.3)]).unwrap();
         assert_eq!(stats.staged_rows, 1);
         assert_eq!(stats.restaged_centers, 0);
     }
@@ -575,28 +574,28 @@ mod tests {
     #[test]
     fn duplicate_param_registration_rejected() {
         let assembly = fleet_assembly();
-        let mut refresh = FleetRefresh::new(&assembly, compiled_options());
+        let mut refresh = FleetRefresh::new(&assembly, auto_options());
         register_fleet(&mut refresh);
         let err = refresh
             .register(
                 "front1".into(),
-                Bindings::new().with("n", 5.0).with("f2_loop", 0.2),
-                &["f2_loop".to_string()],
+                Bindings::new().with("n", 5.0).with("f2_skip", 0.2),
+                &["f2_skip".to_string()],
             )
             .unwrap_err();
         assert!(matches!(err, CoreError::FleetDuplicateParam { .. }));
-        assert!(err.to_string().contains("f2_loop"));
+        assert!(err.to_string().contains("f2_skip"));
     }
 
     #[test]
     fn unknown_delta_param_rejected_without_mutation() {
         let assembly = fleet_assembly();
-        let mut refresh = FleetRefresh::new(&assembly, compiled_options());
+        let mut refresh = FleetRefresh::new(&assembly, auto_options());
         register_fleet(&mut refresh);
         let before = refresh.failure(&"front1".into()).unwrap();
         let err = refresh
             .apply(&[
-                ("f1_loop".to_string(), 0.5),
+                ("f1_skip".to_string(), 0.5),
                 ("nonexistent".to_string(), 0.1),
             ])
             .unwrap_err();
@@ -604,7 +603,7 @@ mod tests {
         assert!(err.to_string().contains("nonexistent"));
         // The whole batch was rejected before any env moved.
         assert_eq!(
-            refresh.env(&"front1".into()).unwrap().get("f1_loop"),
+            refresh.env(&"front1".into()).unwrap().get("f1_skip"),
             Some(0.1)
         );
         assert_eq!(

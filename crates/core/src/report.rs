@@ -29,8 +29,8 @@ impl fmt::Display for CacheStats {
         if self.plan_hits + self.plan_misses > 0 {
             write!(
                 f,
-                "; plans: {} hits / {} misses, {} rank-1 / {} full re-solves",
-                self.plan_hits, self.plan_misses, self.rank1_solves, self.full_solves
+                "; plans: {} hits / {} misses, {} tape replays",
+                self.plan_hits, self.plan_misses, self.rank1_solves
             )?;
         }
         if self.block_flushes > 0 {
@@ -297,17 +297,41 @@ mod tests {
     #[test]
     fn cache_stats_render_plan_counters_after_a_compiled_run() {
         use crate::{EvalOptions, SolverPolicy};
-        let params = paper::PaperParams::default();
-        let assembly = paper::local_assembly(&params).unwrap();
-        let eval = Evaluator::with_options(
-            &assembly,
+        use archrel_expr::{Bindings, Expr};
+        use archrel_model::{
+            catalog, AssemblyBuilder, CompositeService, FlowBuilder, FlowState, Service,
+            ServiceCall,
+        };
+        // A sparse-regime acyclic flow: `Auto` answers it from a plan once
+        // the structure has been seen twice.
+        let flow = FlowBuilder::new()
+            .state(FlowState::new(
+                "work",
+                vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::param("n"))],
+            ))
+            .transition(StateId::Start, "work", Expr::one());
+        let flow = crate::testkit::to_end_via_tail(flow, "work", Expr::one())
+            .build()
+            .unwrap();
+        let long = AssemblyBuilder::new()
+            .service(catalog::cpu_resource("cpu", 1e9, 1e-9))
+            .service(Service::Composite(
+                CompositeService::new("app", vec!["n".into()], flow).unwrap(),
+            ))
+            .build()
+            .unwrap();
+        // No artifact store: the plan must be compiled here, not loaded
+        // from a store an `ARCHREL_ARTIFACT_DIR` run left behind.
+        let eval = Evaluator::with_plan_cache(
+            &long,
             EvalOptions {
-                solver: SolverPolicy::Compiled,
+                solver: SolverPolicy::Auto,
                 ..EvalOptions::default()
             },
+            std::sync::Arc::new(crate::PlanCache::new().with_artifact_store(None)),
         );
-        for n in [512.0, 1024.0] {
-            eval.failure_probability(&paper::SEARCH.into(), &paper::search_bindings(4.0, n, 1.0))
+        for n in [1e6, 2e6, 3e6] {
+            eval.failure_probability(&"app".into(), &Bindings::new().with("n", n))
                 .unwrap();
         }
         let stats = eval.cache_stats();
@@ -315,7 +339,10 @@ mod tests {
         assert!(stats.rank1_solves >= 1, "{stats:?}");
         let text = stats.to_string();
         assert!(text.contains("plans:"), "{text}");
-        assert!(text.contains("rank-1"), "{text}");
+        assert!(text.contains("tape replays"), "{text}");
+        assert!(!text.contains("full"), "{text}");
+        let params = paper::PaperParams::default();
+        let assembly = paper::local_assembly(&params).unwrap();
         // A run that never touches the plan machinery keeps the line silent
         // (forced dense so an `ARCHREL_SOLVER` override cannot interfere).
         let plain = Evaluator::with_options(

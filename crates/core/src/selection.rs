@@ -117,8 +117,8 @@ impl SelectionResult {
 /// the value-level solve cache — but they *do* share one compiled-plan
 /// cache: candidates filling the same slot leave the flow structures
 /// unchanged, so wherever the solver policy answers from a compiled plan
-/// (`Compiled`, or `Auto` on a sparse-regime acyclic flow) each structure
-/// is compiled once and every combination replays the tape.
+/// (`Auto` on a sparse-regime acyclic flow) each structure is compiled once
+/// and every combination replays the tape.
 ///
 /// # Errors
 ///
@@ -574,10 +574,9 @@ mod tests {
         }
     }
 
-    /// Under the compiled-plan policy the staged path takes over; it must
-    /// be **bitwise** identical to the generic build-per-combination path
-    /// on acyclic flows (block ≡ scalar covers the straight-line tape),
-    /// at every worker count.
+    /// On a sparse-regime acyclic flow the staged path takes over under
+    /// `Auto`; it must be **bitwise** identical to the generic
+    /// build-per-combination path, at every worker count.
     #[test]
     fn staged_selection_matches_generic_rebuild_bitwise() {
         use crate::SolverPolicy;
@@ -595,8 +594,8 @@ mod tests {
                 vec![ServiceCall::new("a").with_param("x", Expr::num(3.0))],
             ))
             .transition(StateId::Start, "1", Expr::one())
-            .transition("1", "2", Expr::one())
-            .transition("2", StateId::End, Expr::one())
+            .transition("1", "2", Expr::one());
+        let flow = crate::testkit::to_end_via_tail(flow, "2", Expr::one())
             .build()
             .unwrap();
         let app = Service::Composite(CompositeService::new("app", vec![], flow).unwrap());
@@ -616,14 +615,15 @@ mod tests {
             Bindings::new(),
         )
         .with_eval_options(EvalOptions {
-            solver: SolverPolicy::Compiled,
+            solver: SolverPolicy::Auto,
             ..EvalOptions::default()
         });
         // Generic reference: the same combinations, rebuilt and evaluated
-        // one at a time on the same compiled-plan policy.
+        // one at a time on the same policy.
         let plans = Arc::new(PlanCache::new());
         let staged = staged_selection(&problem, &plans).unwrap();
         assert!(staged.is_some(), "problem is stageable");
+        assert_eq!(plans.stats().plan_misses, 1, "the sweep compiles the tape");
         let mut reference: Vec<SelectionResult> = Vec::new();
         for a in 0..5 {
             for b in 0..4 {

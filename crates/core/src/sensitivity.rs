@@ -80,10 +80,10 @@ pub fn finite_difference(
 /// applies to all probes: build the evaluator with
 /// [`Evaluator::with_options`] to force a solver. Because all probes run on
 /// **one** evaluator, they also share its compiled-plan cache: a stencil
-/// only perturbs parameter *values*, so under [`crate::SolverPolicy::Compiled`],
-/// or [`crate::SolverPolicy::Auto`] on a sparse-regime acyclic flow, every
-/// probe is staged straight into a compiled evaluation tape's parameter row
-/// instead of re-eliminating the chain.
+/// only perturbs parameter *values*, so under [`crate::SolverPolicy::Auto`]
+/// on a sparse-regime acyclic flow every probe is staged straight into a
+/// compiled evaluation tape's parameter row instead of re-eliminating the
+/// chain.
 ///
 /// # Errors
 ///
@@ -512,9 +512,8 @@ mod tests {
         }
     }
 
-    /// An acyclic assembly the staged sweep compiler accepts. Acyclic on
-    /// purpose: the bitwise block ≡ scalar contract the reference values
-    /// rely on covers the straight-line tape, not incremental re-solves.
+    /// An acyclic assembly the staged sweep compiler accepts under `Auto`:
+    /// the tail puts its chain in the sparse regime.
     fn stageable_assembly() -> (Assembly, Bindings) {
         use archrel_expr::Expr;
         use archrel_model::{
@@ -538,8 +537,8 @@ mod tests {
             .state(FlowState::new("b", vec![call_b]))
             .transition(StateId::Start, "a", Expr::num(0.6))
             .transition(StateId::Start, "b", Expr::num(0.4))
-            .transition("a", "b", Expr::one())
-            .transition("b", StateId::End, Expr::one())
+            .transition("a", "b", Expr::one());
+        let flow = crate::testkit::to_end_via_tail(flow, "b", Expr::one())
             .build()
             .unwrap();
         let assembly = AssemblyBuilder::new()
@@ -565,15 +564,15 @@ mod tests {
     }
 
     /// The staged probe sweep must be **bitwise** identical to the generic
-    /// batch path under the same compiled-plan policy — same stencil,
-    /// same probabilities, at every worker count.
+    /// batch path under the default policy — same stencil, same
+    /// probabilities, at every worker count.
     #[test]
     fn staged_probes_match_blocked_path_bitwise() {
         use crate::{EvalOptions, SolverPolicy};
         let (assembly, env) = stageable_assembly();
         let service: ServiceId = "app".into();
         let options = EvalOptions {
-            solver: SolverPolicy::Compiled,
+            solver: SolverPolicy::Auto,
             ..EvalOptions::default()
         };
         // Perturbed stencil points, like binding_sensitivities builds.
@@ -616,6 +615,8 @@ mod tests {
         for workers in [2usize, 5] {
             let eval = Evaluator::with_options(&assembly, options);
             let got = binding_sensitivities_with_workers(&eval, &service, &env, workers).unwrap();
+            let stats = eval.plan_cache().stats();
+            assert!(stats.block_points > 0, "probes were not staged: {stats:?}");
             assert_eq!(reference.len(), got.len());
             for (r, g) in reference.iter().zip(&got) {
                 assert_eq!(r.name, g.name);

@@ -234,12 +234,12 @@ impl StagedSweep {
     /// to simple services, the structure did not yield a plan, or the
     /// self-check row failed to reproduce the real extraction bitwise.
     ///
-    /// `Compiled` stages every eligible flow. `Auto` stages only flows
-    /// whose augmented chain it solves in the sparse regime *and* whose
-    /// structure compiles to an acyclic tape: there the tape replays the
-    /// sparse back-substitution bit for bit, so staging cannot change an
-    /// `Auto` answer. Dense-regime and cyclic flows under `Auto`, and the
-    /// explicit `Dense`/`Sparse` policies, stay on the generic path.
+    /// `Auto` stages only flows whose augmented chain it solves in the
+    /// sparse regime *and* whose structure compiles to a tape (plans are
+    /// acyclic): there the tape replays the sparse back-substitution bit
+    /// for bit, so staging cannot change an `Auto` answer. Dense-regime and
+    /// cyclic flows under `Auto`, and the explicit `Dense`/`Sparse`
+    /// policies, stay on the generic path.
     ///
     /// # Errors
     ///
@@ -263,7 +263,7 @@ impl StagedSweep {
         // edge-free chain of that size (`Auto` on a small flow, `Dense`,
         // `Sparse`) declines before any recipe is built.
         let max_states = flow.states().len() + 3;
-        if options.solver.plan_compilation(max_states, 0).is_none() {
+        if !options.solver.plan_compilation(max_states, 0) {
             return Ok(None);
         }
 
@@ -359,17 +359,15 @@ impl StagedSweep {
         // Stage exactly the chains the evaluator itself would answer from a
         // plan: under `Auto` that is an acyclic tape in the sparse regime,
         // which replays the sparse back-substitution bit for bit.
-        let Some(acyclic_only) = options
+        if !options
             .solver
             .plan_compilation(chain.len(), chain.edge_count())
-        else {
+        {
             return Ok(None);
-        };
+        }
         let fingerprint = structure_fingerprint(&chain, &start, &end);
-        let plan = match plans.entry(fingerprint, &chain, &start, &end, acyclic_only) {
-            // A shared cache may hold a cyclic plan compiled for another
-            // evaluator; `Auto` answers cyclic flows iteratively, not from it.
-            Ok(PlanEntry::Plan(plan)) if !acyclic_only || plan.is_acyclic() => plan,
+        let plan = match plans.entry(fingerprint, &chain, &start, &end) {
+            Ok(PlanEntry::Plan(plan)) => plan,
             // Unreachable/cyclic markers and compile errors: the generic
             // path knows how to answer those; staging does not.
             Ok(_) | Err(_) => return Ok(None),
@@ -1012,10 +1010,10 @@ impl StagedSweep {
     ///
     /// Plan evaluation failures (trapped probability mass).
     pub(crate) fn evaluate_row(&self, scratch: &mut StagedScratch) -> Result<Probability> {
-        let (value, kind) = self
+        let value = self
             .plan
             .evaluate_scratch(&scratch.row, &mut scratch.plan_scratch)?;
-        self.plans.record(kind);
+        self.plans.record();
         Ok(Probability::new(value)?.complement())
     }
 
@@ -1336,9 +1334,20 @@ mod tests {
         ))
     }
 
-    /// `Start → a → b → End` with a retry loop edge `b → a`, calls with a
-    /// connector and an internal failure law, and a parametric demand.
+    /// `Start → a → b`, leaving `b` for `End` directly (0.1) or through
+    /// the call-free tail that puts the chain in `Auto`'s sparse regime
+    /// (0.9); calls with a connector and an internal failure law, and a
+    /// parametric demand.
     fn assembly() -> Assembly {
+        with_exit(true)
+    }
+
+    /// [`assembly`] without the tail: a two-state flow, dense under `Auto`.
+    fn short_assembly() -> Assembly {
+        with_exit(false)
+    }
+
+    fn with_exit(tail: bool) -> Assembly {
         let call_a = ServiceCall {
             target: "cpu".into(),
             actual_params: vec![("ops".to_string(), Expr::param("n"))],
@@ -1359,10 +1368,15 @@ mod tests {
             .state(FlowState::new("b", vec![call_b]))
             .transition(StateId::Start, "a", Expr::one())
             .transition("a", "b", Expr::one())
-            .transition("b", "a", Expr::num(0.1))
-            .transition("b", StateId::End, Expr::num(0.9))
-            .build()
-            .unwrap();
+            .transition("b", StateId::End, Expr::num(0.1));
+        let flow = if tail {
+            crate::testkit::to_end_via_tail(flow, "b", Expr::num(0.9))
+        } else {
+            flow.state(FlowState::new("c", vec![]))
+                .transition("b", "c", Expr::num(0.9))
+                .transition("c", StateId::End, Expr::one())
+        };
+        let flow = flow.build().unwrap();
         let net = Service::Simple(SimpleService::new(
             "net",
             "bytes",
@@ -1379,9 +1393,9 @@ mod tests {
             .unwrap()
     }
 
-    fn compiled_options() -> EvalOptions {
+    fn auto_options() -> EvalOptions {
         EvalOptions {
-            solver: SolverPolicy::Compiled,
+            solver: SolverPolicy::Auto,
             ..EvalOptions::default()
         }
     }
@@ -1389,7 +1403,10 @@ mod tests {
     fn compile_app(assembly: &Assembly, env: &Bindings) -> (Arc<PlanCache>, Option<StagedSweep>) {
         let plans = Arc::new(PlanCache::new());
         let sweep =
-            StagedSweep::compile(assembly, &"app".into(), env, &plans, compiled_options()).unwrap();
+            StagedSweep::compile(assembly, &"app".into(), env, &plans, auto_options()).unwrap();
+        if sweep.is_some() {
+            assert_eq!(plans.stats().plan_misses, 1, "staging compiles one plan");
+        }
         (plans, sweep)
     }
 
@@ -1411,14 +1428,14 @@ mod tests {
 
     #[test]
     fn declines_dense_regime_and_explicit_direct_policies() {
-        // A two-state flow is dense under `Auto`; `Dense`/`Sparse` never
-        // stage. None of them may touch the plan cache.
-        let assembly = assembly();
+        // A three-state flow is dense under `Auto`; `Dense`/`Sparse` never
+        // stage, however long the flow. None of them may touch the plan
+        // cache.
         let env = Bindings::new().with("n", 5.0);
-        for solver in [
-            SolverPolicy::Auto,
-            SolverPolicy::Dense,
-            SolverPolicy::Sparse,
+        for (solver, assembly) in [
+            (SolverPolicy::Auto, short_assembly()),
+            (SolverPolicy::Dense, assembly()),
+            (SolverPolicy::Sparse, assembly()),
         ] {
             let plans = Arc::new(PlanCache::new());
             let sweep = StagedSweep::compile(
@@ -1443,8 +1460,7 @@ mod tests {
         let env = Bindings::new();
         let plans = Arc::new(PlanCache::new());
         let sweep =
-            StagedSweep::compile(&assembly, &"cpu".into(), &env, &plans, compiled_options())
-                .unwrap();
+            StagedSweep::compile(&assembly, &"cpu".into(), &env, &plans, auto_options()).unwrap();
         assert!(sweep.is_none());
     }
 
@@ -1475,7 +1491,7 @@ mod tests {
                 perturbed = crate::improvement::apply_lever(&perturbed, lever, factor).unwrap();
             }
             let evaluator =
-                Evaluator::with_plan_cache(&perturbed, compiled_options(), Arc::clone(&plans));
+                Evaluator::with_plan_cache(&perturbed, auto_options(), Arc::clone(&plans));
             let generic = evaluator.failure_probability(&"app".into(), &env).unwrap();
             assert_eq!(staged.value().to_bits(), generic.value().to_bits());
         }
@@ -1493,7 +1509,7 @@ mod tests {
             assert_eq!(sweep.stage_env(&point, &mut scratch).unwrap(), Staging::Row);
             let staged = sweep.evaluate_row(&mut scratch).unwrap();
             let evaluator =
-                Evaluator::with_plan_cache(&assembly, compiled_options(), Arc::clone(&plans));
+                Evaluator::with_plan_cache(&assembly, auto_options(), Arc::clone(&plans));
             let generic = evaluator
                 .failure_probability(&"app".into(), &point)
                 .unwrap();
@@ -1540,8 +1556,8 @@ mod tests {
         }
     }
 
-    /// Like [`assembly`], but with the retry loop driven by a `loop`
-    /// usage parameter — two independent cones (`n` → calls, `loop` →
+    /// Like [`assembly`], but with `b`'s exit row driven by a `skip`
+    /// usage parameter — two independent cones (`n` → calls, `skip` →
     /// transitions) for multi-binding delta staging.
     fn parametric_assembly() -> Assembly {
         let call_a = ServiceCall {
@@ -1561,8 +1577,8 @@ mod tests {
             .state(FlowState::new("b", vec![call_b]))
             .transition(StateId::Start, "a", Expr::one())
             .transition("a", "b", Expr::one())
-            .transition("b", "a", Expr::param("loop"))
-            .transition("b", StateId::End, Expr::one() - Expr::param("loop"))
+            .transition("b", StateId::End, Expr::param("skip"));
+        let flow = crate::testkit::to_end_via_tail(flow, "b", Expr::one() - Expr::param("skip"))
             .build()
             .unwrap();
         AssemblyBuilder::new()
@@ -1571,7 +1587,7 @@ mod tests {
             .service(Service::Composite(
                 archrel_model::CompositeService::new(
                     "app",
-                    vec!["n".to_string(), "loop".to_string()],
+                    vec!["n".to_string(), "skip".to_string()],
                     flow,
                 )
                 .unwrap(),
@@ -1585,7 +1601,7 @@ mod tests {
         let assembly = parametric_assembly();
         let env = Bindings::new()
             .with("n", 5.0)
-            .with("loop", 0.1)
+            .with("skip", 0.1)
             .with("unused", 2.0);
         let (_, sweep) = compile_app(&assembly, &env);
         let sweep = sweep.unwrap();
@@ -1598,8 +1614,8 @@ mod tests {
         let mut delta = sweep.new_scratch();
         type DeltaCase<'a> = (&'a [(&'a str, f64)], &'a [&'a str]);
         let cases: [DeltaCase; 4] = [
-            (&[("n", 7.0), ("loop", 0.25)], &["n", "loop"]),
-            (&[("loop", 0.01)], &["loop", "unused"]),
+            (&[("n", 7.0), ("skip", 0.25)], &["n", "skip"]),
+            (&[("skip", 0.01)], &["skip", "unused"]),
             (&[("n", 1.5)], &["n"]),
             (&[], &["unused"]),
         ];
@@ -1626,7 +1642,7 @@ mod tests {
     #[test]
     fn advance_center_keeps_sequential_deltas_bitwise() {
         let assembly = parametric_assembly();
-        let mut env = Bindings::new().with("n", 5.0).with("loop", 0.1);
+        let mut env = Bindings::new().with("n", 5.0).with("skip", 0.1);
         let (_, sweep) = compile_app(&assembly, &env);
         let sweep = sweep.unwrap();
         let mut scratch = sweep.new_scratch();
@@ -1636,10 +1652,10 @@ mod tests {
             .expect("center stages a row");
         let mut full = sweep.new_scratch();
         let steps: [&[(&str, f64)]; 4] = [
-            &[("loop", 0.2)],
-            &[("n", 8.0), ("loop", 0.05)],
+            &[("skip", 0.2)],
+            &[("n", 8.0), ("skip", 0.05)],
             &[("n", 2.0)],
-            &[("loop", 0.5)],
+            &[("skip", 0.5)],
         ];
         for moves in steps {
             for (name, x) in moves {
@@ -1778,8 +1794,7 @@ mod tests {
             builder = builder.service(rebuilt);
         }
         let swapped = builder.build().unwrap();
-        let evaluator =
-            Evaluator::with_plan_cache(&swapped, compiled_options(), Arc::clone(&plans));
+        let evaluator = Evaluator::with_plan_cache(&swapped, auto_options(), Arc::clone(&plans));
         let generic = evaluator.failure_probability(&"app".into(), &env).unwrap();
         assert_eq!(staged.value().to_bits(), generic.value().to_bits());
     }

@@ -165,8 +165,8 @@ fn apply_all(assembly: &Assembly, factors: &[(&Lever, f64)]) -> Result<Assembly>
 /// and a perturbed assembly invalidates it wholesale) — but the samples *do*
 /// share one compiled-plan cache: the levers scale failure values without
 /// changing any flow structure, so wherever the solver policy answers from
-/// a compiled plan (`Compiled`, or `Auto` on a sparse-regime acyclic flow)
-/// each structure is compiled once and every sample replays the tape.
+/// a compiled plan (`Auto` on a sparse-regime acyclic flow) each structure
+/// is compiled once and every sample replays the tape.
 ///
 /// # Errors
 ///
@@ -682,7 +682,8 @@ mod tests {
     }
 
     /// An assembly whose target composite calls only simple services —
-    /// the shape the staged sweep compiler accepts.
+    /// the shape the staged sweep compiler accepts — with a tail that puts
+    /// its chain in `Auto`'s sparse regime.
     fn stageable_assembly() -> (Assembly, Bindings) {
         use archrel_expr::Expr;
         use archrel_model::{
@@ -701,16 +702,13 @@ mod tests {
             connector: None,
             internal_failure: InternalFailureModel::None,
         };
-        // Acyclic on purpose: the bitwise block ≡ scalar replay contract —
-        // which this test leans on for its reference values — covers the
-        // straight-line tape, not rank-1 incremental re-solves.
         let flow = FlowBuilder::new()
             .state(FlowState::new("a", vec![call_a]))
             .state(FlowState::new("b", vec![call_b]))
             .transition(StateId::Start, "a", Expr::num(0.6))
             .transition(StateId::Start, "b", Expr::num(0.4))
-            .transition("a", "b", Expr::one())
-            .transition("b", StateId::End, Expr::one())
+            .transition("a", "b", Expr::one());
+        let flow = crate::testkit::to_end_via_tail(flow, "b", Expr::one())
             .build()
             .unwrap();
         let assembly = AssemblyBuilder::new()
@@ -736,7 +734,7 @@ mod tests {
     }
 
     /// Staged factor sweeps must be **bitwise** identical to the generic
-    /// per-sample scalar rebuild under the same compiled-plan policy: same
+    /// per-sample scalar rebuild under the default policy: same
     /// sampled factors, same values, same summary — at every final-block
     /// occupancy of the lane-8 accumulator, and striped across workers.
     #[test]
@@ -761,7 +759,7 @@ mod tests {
             },
         ];
         let options = EvalOptions {
-            solver: SolverPolicy::Compiled,
+            solver: SolverPolicy::Auto,
             ..EvalOptions::default()
         };
         let (samples, seed) = (64, 9);

@@ -5,7 +5,9 @@
 //! *and* a leaf directly) and shared sub-services (several parents calling
 //! the same child) — are evaluated through the compiled program path and
 //! the recursive evaluator. The two must agree **bitwise** under every
-//! [`SolverPolicy`] and at any batch worker count.
+//! [`SolverPolicy`] and at any batch worker count. About half the DAGs give
+//! `top` a long acyclic flow in `Auto`'s sparse regime, so the program pins
+//! that flow's plan and answers it by tape replay.
 //!
 //! Each engine is reached the way production reaches it, by the
 //! evaluator's sighting rule: a fresh evaluator's first point walks the
@@ -50,7 +52,14 @@ struct DagSpec {
     /// Mid layers, bottom-up. Three or more layers plus the implicit `top`
     /// keeps the composite call depth at four or deeper.
     layers: Vec<Vec<NodeSpec>>,
+    /// Whether `top` runs its calls through a [`LONG_TOP_STATES`]-state
+    /// chain instead of one state.
+    long_top: bool,
 }
+
+/// Flow states of a long `top`: its augmented chain is in `Auto`'s sparse
+/// regime (more than 64 states).
+const LONG_TOP_STATES: usize = 64;
 
 fn spec_strategy() -> impl Strategy<Value = DagSpec> {
     let node = (
@@ -67,8 +76,13 @@ fn spec_strategy() -> impl Strategy<Value = DagSpec> {
     (
         proptest::collection::vec(1e-6..1e-3f64, 2..5),
         proptest::collection::vec(layer, 3..5),
+        proptest::bool::ANY,
     )
-        .prop_map(|(leaf_rates, layers)| DagSpec { leaf_rates, layers })
+        .prop_map(|(leaf_rates, layers, long_top)| DagSpec {
+            leaf_rates,
+            layers,
+            long_top,
+        })
 }
 
 /// Single-state flow: Start -> s0 -> End with the given calls.
@@ -135,24 +149,33 @@ fn build(spec: &DagSpec) -> Assembly {
         prev = names;
     }
     // `top` calls every node of the last layer, so the whole DAG is live.
-    let calls: Vec<ServiceCall> = prev
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            ServiceCall::new(name.clone()).with_param(
-                catalog::CPU_PARAM,
-                Expr::param(catalog::CPU_PARAM) + Expr::num(i as f64),
-            )
-        })
-        .collect();
+    let call = |i: usize| {
+        ServiceCall::new(prev[i].clone()).with_param(
+            catalog::CPU_PARAM,
+            Expr::param(catalog::CPU_PARAM) + Expr::num(i as f64),
+        )
+    };
+    let flow = if spec.long_top {
+        // One call per state, cycling through the last layer.
+        let name = |i: usize| StateId::named(format!("s{i}"));
+        let mut flow = FlowBuilder::new().transition(StateId::Start, name(0), Expr::one());
+        for i in 0..LONG_TOP_STATES {
+            flow = flow.state(FlowState::new(name(i), vec![call(i % prev.len())]));
+            let next = if i + 1 == LONG_TOP_STATES {
+                StateId::End
+            } else {
+                name(i + 1)
+            };
+            flow = flow.transition(name(i), next, Expr::one());
+        }
+        flow.build().expect("flow is valid")
+    } else {
+        one_state_flow((0..prev.len()).map(call).collect(), CompletionModel::And)
+    };
     builder
         .service(Service::Composite(
-            CompositeService::new(
-                "top",
-                vec![catalog::CPU_PARAM.to_string()],
-                one_state_flow(calls, CompletionModel::And),
-            )
-            .expect("service is valid"),
+            CompositeService::new("top", vec![catalog::CPU_PARAM.to_string()], flow)
+                .expect("service is valid"),
         ))
         .build()
         .expect("assembly is valid")
@@ -200,8 +223,9 @@ fn recursive_bits(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> 
 }
 
 /// The compiled program: every demand point in one batch, which compiles
-/// `top`'s program before its first point. Returns the raw f64 bits.
-fn program_bits(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> Vec<u64> {
+/// `top`'s program before its first point. Returns the raw f64 bits and
+/// the evaluator's plan tape replays.
+fn program_run(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> (Vec<u64>, u64) {
     let evaluator = Evaluator::with_options(assembly, options);
     let envs: Vec<Bindings> = points.iter().map(|&n| demand(n)).collect();
     let refs: Vec<&Bindings> = envs.iter().collect();
@@ -210,8 +234,13 @@ fn program_bits(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> Ve
         .into_iter()
         .map(|r| r.expect("evaluation succeeds").value().to_bits())
         .collect();
-    assert_eq!(evaluator.cache_stats().programs_compiled, 1);
-    bits
+    let stats = evaluator.cache_stats();
+    assert_eq!(stats.programs_compiled, 1);
+    (bits, stats.rank1_solves)
+}
+
+fn program_bits(assembly: &Assembly, options: EvalOptions, points: &[f64]) -> Vec<u64> {
+    program_run(assembly, options, points).0
 }
 
 const POINTS: [f64; 5] = [1.0, 1e3, 4.5e4, 1e6, 1e6];
@@ -224,20 +253,20 @@ proptest! {
     #[test]
     fn program_matches_recursive_under_every_solver(spec in spec_strategy()) {
         let assembly = build(&spec);
-        for solver in [
-            SolverPolicy::Auto,
-            SolverPolicy::Dense,
-            SolverPolicy::Sparse,
-            SolverPolicy::Compiled,
-        ] {
+        for solver in [SolverPolicy::Auto, SolverPolicy::Dense, SolverPolicy::Sparse] {
             let recursive = recursive_bits(&assembly, opts(solver), &POINTS);
-            let program = program_bits(&assembly, opts(solver), &POINTS);
+            let (program, replays) = program_run(&assembly, opts(solver), &POINTS);
             prop_assert_eq!(
                 &recursive,
                 &program,
                 "program path diverged from recursive under {:?}",
                 solver
             );
+            // Only `Auto` answers from plans, and only the long `top`'s
+            // sparse-regime flow: the program pins its plan on the second
+            // sighting and replays the tape for the later points.
+            let pinned = solver == SolverPolicy::Auto && spec.long_top;
+            prop_assert_eq!(replays > 0, pinned, "tape replays under {:?}: {}", solver, replays);
         }
     }
 
@@ -404,12 +433,7 @@ proptest! {
     #[test]
     fn cyclic_program_matches_recursive_under_every_solver(spec in cycle_strategy()) {
         let assembly = build_cyclic(&spec);
-        for solver in [
-            SolverPolicy::Auto,
-            SolverPolicy::Dense,
-            SolverPolicy::Sparse,
-            SolverPolicy::Compiled,
-        ] {
+        for solver in [SolverPolicy::Auto, SolverPolicy::Dense, SolverPolicy::Sparse] {
             let recursive = recursive_bits(&assembly, fp_opts(solver), &CYCLE_POINTS);
             let program = program_bits(&assembly, fp_opts(solver), &CYCLE_POINTS);
             prop_assert_eq!(

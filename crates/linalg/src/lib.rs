@@ -15,9 +15,6 @@
 //!   for large chains and for stationary distributions.
 //! - [`CsrMatrix`]: a compressed-sparse-row matrix with `O(nnz)` SpMV and the
 //!   sparse Gauss–Seidel / Jacobi solvers behind the engine's sparse path.
-//! - [`sherman_morrison_solve`]: rank-1 incremental re-solve against a fixed
-//!   [`Lu`] factorization, used by the compiled evaluation plans to answer
-//!   single-row parameter perturbations in `O(n²)`.
 //!
 //! # Examples
 //!
@@ -42,17 +39,13 @@ mod error;
 pub mod iterative;
 mod lu;
 mod matrix;
-mod rank1;
 mod vector;
-mod view;
 
 pub use csr::CsrMatrix;
 pub use error::LinalgError;
 pub use lu::{Lu, SINGULARITY_EPS};
 pub use matrix::Matrix;
-pub use rank1::{sherman_morrison_solve, RANK1_REFUSAL_EPS};
 pub use vector::Vector;
-pub use view::{lu_solve_view, sherman_morrison_solve_view};
 
 /// Convenience result alias for fallible linear-algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;

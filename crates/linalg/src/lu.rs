@@ -30,8 +30,6 @@ pub struct Lu {
     /// Combined L (strictly lower, unit diagonal implied) and U (upper).
     factors: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
-    /// Stored as `u32` so the factorization can round-trip through the
-    /// on-disk plan archive without an index-width conversion.
     perm: Vec<u32>,
     /// Number of row swaps performed (determinant sign).
     swaps: usize,
@@ -105,22 +103,7 @@ impl Lu {
         self.factors.rows()
     }
 
-    /// The combined row-major `L`/`U` storage, for archival and view-based
-    /// solves ([`crate::lu_solve_view`]).
-    pub fn factors_data(&self) -> &[f64] {
-        self.factors.as_slice()
-    }
-
-    /// The row permutation: `perm[i]` is the original row now in position
-    /// `i`.
-    pub fn perm(&self) -> &[u32] {
-        &self.perm
-    }
-
     /// Solves `A x = b` using the stored factorization.
-    ///
-    /// Delegates to [`crate::lu_solve_view`], the single implementation of
-    /// the triangular solves shared with mapped (archived) factorizations.
     ///
     /// # Errors
     ///
@@ -134,8 +117,26 @@ impl Lu {
                 right: (b.len(), 1),
             });
         }
-        crate::view::lu_solve_view(n, self.factors.as_slice(), &self.perm, b.as_slice())
-            .map(Vector::from)
+        let f = self.factors.as_slice();
+        // Apply permutation: y = P b.
+        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p as usize]).collect();
+        // Forward substitution with unit-diagonal L.
+        for i in 1..n {
+            let mut s = x[i];
+            for (j, xj) in x.iter().enumerate().take(i) {
+                s -= f[i * n + j] * xj;
+            }
+            x[i] = s;
+        }
+        // Back substitution with U.
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            for j in (i + 1)..n {
+                s -= f[i * n + j] * x[j];
+            }
+            x[i] = s / f[i * n + i];
+        }
+        Ok(Vector::from(x))
     }
 
     /// Solves `A X = B` column by column.

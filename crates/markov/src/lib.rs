@@ -13,9 +13,9 @@
 //!   exact back-substitution on acyclic flow graphs, CSR Gauss–Seidel /
 //!   Jacobi otherwise — for chains with thousands of states.
 //! - [`SolvePlan`]: compile-once, evaluate-many plans for parameter sweeps
-//!   that re-solve one chain *structure* with changing numeric entries —
-//!   a straight-line tape for acyclic flows, Sherman–Morrison rank-1
-//!   incremental re-solves for single-row perturbations of cyclic ones.
+//!   that re-solve one acyclic chain *structure* with changing numeric
+//!   entries: a straight-line back-substitution tape, bitwise equal to the
+//!   sparse path (cyclic chains have no plan and are solved directly).
 //! - [`transient`]: n-step distributions and reachability.
 //! - [`stationary`]: stationary distributions of ergodic chains.
 //! - [`paths`]: probability-weighted path enumeration (feeds the path-based
@@ -61,8 +61,7 @@ pub use chain::{Dtmc, DtmcBuilder, StateLabel};
 pub use error::MarkovError;
 pub use iterative_absorption::{absorption_probabilities_iterative, AbsorptionIterOptions};
 pub use plan::{
-    structure_fingerprint, BlockSolveKinds, ParamBlock, PlanBody, PlanParts, PlanScratch,
-    PlanSolveKind, SolvePlan, LANE, PLAN_SLOT_NONE,
+    structure_fingerprint, ParamBlock, PlanParts, PlanScratch, SolvePlan, LANE, PLAN_SLOT_NONE,
 };
 pub use section::{Section, SliceBacking};
 pub use sparse::{absorption_probability_sparse, SparseMethod, SparseSolveOptions};

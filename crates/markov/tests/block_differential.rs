@@ -1,7 +1,7 @@
 //! Differential suite pinning the lane-8 block replay bitwise to the
 //! per-point tape.
 //!
-//! The lane-8 block replay ([`SolvePlan::evaluate_block_with_kinds`])
+//! The lane-8 block replay ([`SolvePlan::evaluate_block`])
 //! promises results bitwise-identical to the per-point reference
 //! ([`SolvePlan::evaluate`]) at every occupancy, for any parameter values
 //! the per-point path accepts — including exact 0/1 transitions and
@@ -68,8 +68,7 @@ proptest! {
     ) {
         let chain = forward_chain(&weights);
         let end = weights.len() as u32;
-        let plan = SolvePlan::compile(&chain, &0u32, &end).unwrap();
-        prop_assert!(plan.is_acyclic());
+        let plan = SolvePlan::compile(&chain, &0u32, &end).unwrap().expect("acyclic chain");
         let base = plan.parameters(&chain).unwrap();
         let points: Vec<Vec<f64>> = (0..LANE)
             .map(|lane| {
@@ -93,10 +92,7 @@ proptest! {
             for p in points.iter().take(occupancy) {
                 block.push(p).unwrap();
             }
-            let (values, kinds) = plan
-                .evaluate_block_with_kinds(&block, &mut scratch)
-                .unwrap();
-            prop_assert_eq!(kinds.tape, occupancy as u64);
+            let values = plan.evaluate_block(&block, &mut scratch).unwrap();
             prop_assert_eq!(values.len(), occupancy);
             for (lane, &got) in values.iter().enumerate() {
                 prop_assert_eq!(
@@ -126,7 +122,7 @@ fn fixed_chain() -> Dtmc<u32> {
 #[test]
 fn stale_lanes_from_previous_flushes_never_leak() {
     let chain = fixed_chain();
-    let plan = SolvePlan::compile(&chain, &0u32, &3u32).unwrap();
+    let plan = SolvePlan::compile(&chain, &0u32, &3u32).unwrap().unwrap();
     let base = plan.parameters(&chain).unwrap();
     let point = |k: usize| -> Vec<f64> {
         base.iter()
@@ -149,10 +145,7 @@ fn stale_lanes_from_previous_flushes_never_leak() {
         for p in &points {
             block.push(p).unwrap();
         }
-        let (values, kinds) = plan
-            .evaluate_block_with_kinds(&block, &mut scratch)
-            .unwrap();
-        assert_eq!(kinds.tape, occupancy as u64);
+        let values = plan.evaluate_block(&block, &mut scratch).unwrap();
         for (lane, p) in points.iter().enumerate() {
             let scalar = plan.evaluate(p).unwrap();
             assert_eq!(
@@ -171,7 +164,7 @@ fn stale_lanes_from_previous_flushes_never_leak() {
 #[test]
 fn degenerate_zero_one_transitions_match_scalar_bitwise() {
     let chain = fixed_chain();
-    let plan = SolvePlan::compile(&chain, &0u32, &3u32).unwrap();
+    let plan = SolvePlan::compile(&chain, &0u32, &3u32).unwrap().unwrap();
     let slots = plan.slot_count();
     let values = [0.0, 1.0, 0.0, 0.5, 1.0];
     let points: Vec<Vec<f64>> = (0..LANE)
@@ -187,10 +180,7 @@ fn degenerate_zero_one_transitions_match_scalar_bitwise() {
     for p in &points {
         block.push(p).unwrap();
     }
-    let (got, kinds) = plan
-        .evaluate_block_with_kinds(&block, &mut scratch)
-        .unwrap();
-    assert_eq!(kinds.tape, LANE as u64);
+    let got = plan.evaluate_block(&block, &mut scratch).unwrap();
     for (lane, (&g, &want)) in got.iter().zip(&reference).enumerate() {
         assert_eq!(g.to_bits(), want.to_bits(), "lane {lane}");
     }
@@ -214,8 +204,9 @@ fn subnormal_parameters_match_scalar_bitwise() {
         .transition(1u32, 3u32, 0.1)
         .build()
         .unwrap();
-    let plan = SolvePlan::compile(&chain, &0u32, &2u32).unwrap();
-    assert!(plan.is_acyclic(), "self-loops stay on the tape");
+    let plan = SolvePlan::compile(&chain, &0u32, &2u32)
+        .unwrap()
+        .expect("self-loops stay on the tape");
     let slots = plan.slot_count();
     let values = [5e-324, 1e-310, 4.9e-324, 1e-308, 2.5e-320];
     let points: Vec<Vec<f64>> = (0..LANE)
@@ -231,10 +222,7 @@ fn subnormal_parameters_match_scalar_bitwise() {
     for p in &points {
         block.push(p).unwrap();
     }
-    let (got, kinds) = plan
-        .evaluate_block_with_kinds(&block, &mut scratch)
-        .unwrap();
-    assert_eq!(kinds.tape, LANE as u64);
+    let got = plan.evaluate_block(&block, &mut scratch).unwrap();
     for (lane, (&g, &want)) in got.iter().zip(&reference).enumerate() {
         assert_eq!(g.to_bits(), want.to_bits(), "lane {lane}");
     }
@@ -255,7 +243,7 @@ fn trapped_self_loop_errors_agree_across_paths() {
         .transition(1u32, 3u32, 0.1)
         .build()
         .unwrap();
-    let plan = SolvePlan::compile(&chain, &0u32, &2u32).unwrap();
+    let plan = SolvePlan::compile(&chain, &0u32, &2u32).unwrap().unwrap();
     let base = plan.parameters(&chain).unwrap();
     // Locate the self-loop slot by probing: saturating it to 1.0 is the
     // only single-slot change that turns the scalar evaluation into an
@@ -276,8 +264,7 @@ fn trapped_self_loop_errors_agree_across_paths() {
     block.push(&bad).unwrap();
     block.push(&base).unwrap();
     assert!(
-        plan.evaluate_block_with_kinds(&block, &mut scratch)
-            .is_err(),
+        plan.evaluate_block(&block, &mut scratch).is_err(),
         "the block replay must refuse the trapped lane like scalar does"
     );
 }

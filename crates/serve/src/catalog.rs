@@ -186,30 +186,50 @@ mod tests {
         assert_eq!(catalog.get("m").unwrap().version, 1);
     }
 
+    /// A 64-state sequential flow over one blackbox: acyclic and in the
+    /// default solver's sparse regime, where plans answer.
+    fn long_model(pfail: f64) -> String {
+        let mut source = format!("blackbox dep(x) {{ pfail: {pfail}; }}\nservice app() {{\n");
+        for i in 0..64 {
+            source.push_str(&format!("  state s{i} {{ call dep(x: 1); }}\n"));
+        }
+        source.push_str("  start -> s0 : 1;\n");
+        for i in 1..64 {
+            source.push_str(&format!("  s{} -> s{i} : 1;\n", i - 1));
+        }
+        source.push_str("  s63 -> end : 1;\n}\n");
+        source
+    }
+
     #[test]
     fn structurally_unchanged_swap_keeps_plans_warm() {
         use archrel_core::{EvalOptions, Evaluator, SolverPolicy};
 
-        // Force the compiled-plan path so one evaluation compiles a plan.
         let options = EvalOptions {
-            solver: SolverPolicy::Compiled,
+            solver: SolverPolicy::Auto,
             ..EvalOptions::default()
         };
         let plans = Arc::new(PlanCache::new());
         let catalog = Catalog::new(Arc::clone(&plans));
-        let (entry, _) = catalog.load("m", MODEL_V1).unwrap();
-        let eval = Evaluator::with_plan_cache(&entry.assembly, options, Arc::clone(&plans));
-        eval.failure_probability(&"app".into(), &archrel_expr::Bindings::new())
-            .unwrap();
+        // Fresh evaluators over the shared plan cache, as the daemon's
+        // request-scoped ones: the structure's second sighting compiles
+        // its plan.
+        let evaluate = |assembly: &archrel_model::Assembly| {
+            Evaluator::with_plan_cache(assembly, options, Arc::clone(&plans))
+                .failure_probability(&"app".into(), &archrel_expr::Bindings::new())
+                .unwrap()
+        };
+        let (entry, _) = catalog.load("m", &long_model(0.01)).unwrap();
+        evaluate(&entry.assembly);
+        evaluate(&entry.assembly);
         let before = plans.stats();
+        assert_eq!(before.plan_misses, 1, "{before:?}");
 
         // Numeric-only swap: same structure fingerprint, so the re-load's
         // first evaluation is a pure plan hit.
-        let (entry, swapped) = catalog.load("m", MODEL_V2).unwrap();
+        let (entry, swapped) = catalog.load("m", &long_model(0.02)).unwrap();
         assert!(swapped);
-        let eval = Evaluator::with_plan_cache(&entry.assembly, options, Arc::clone(&plans));
-        eval.failure_probability(&"app".into(), &archrel_expr::Bindings::new())
-            .unwrap();
+        evaluate(&entry.assembly);
         let after = plans.stats();
         assert_eq!(
             after.plan_misses, before.plan_misses,

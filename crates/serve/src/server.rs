@@ -716,8 +716,7 @@ fn execute_control(shared: &Shared, request: &Request) -> Result<JsonValue, Prot
                 ("value_cache_misses", num(stats.misses)),
                 ("plan_hits", num(stats.plan_hits)),
                 ("plan_misses", num(stats.plan_misses)),
-                ("rank1_solves", num(stats.rank1_solves)),
-                ("full_solves", num(stats.full_solves)),
+                ("tape_replays", num(stats.rank1_solves)),
                 ("memo_hits", num(stats.memo_hits)),
                 ("memo_misses", num(stats.memo_misses)),
                 ("pin_hits", num(stats.pin_hits)),

@@ -278,26 +278,32 @@ fn full_admission_queue_rejects_with_typed_overload() {
 
 #[test]
 fn stats_reflect_shared_plan_cache_once() {
-    use archrel_core::SolverPolicy;
+    use archrel_core::{EvalOptions, SolverPolicy};
+    // `Auto` set here, not read from `ARCHREL_SOLVER`: the counts below
+    // are those of the default solver's plan path.
     let config = ServeConfig {
-        eval_options: archrel_core::EvalOptions {
-            solver: SolverPolicy::Compiled,
-            ..archrel_core::EvalOptions::default()
+        eval_options: EvalOptions {
+            solver: SolverPolicy::Auto,
+            ..EvalOptions::default()
         },
         ..ServeConfig::default()
     };
     let (path, runner) = boot(config, "stats");
     let mut client = Client::connect_unix(&path).unwrap();
-    assert!(response(&client.roundtrip(&load_line("m", MODEL_V1)).unwrap()).ok);
-    for _ in 0..3 {
-        assert!(
-            response(
-                &client
-                    .roundtrip(r#"{"op":"predict","assembly":"m","service":"app"}"#)
-                    .unwrap()
-            )
-            .ok
+    assert!(
+        response(
+            &client
+                .roundtrip(&load_line("m", &long_chain_model()))
+                .unwrap()
+        )
+        .ok
+    );
+    // Three distinct points on the long chain, then a repeat of the first.
+    for v0 in [1, 2, 3, 1] {
+        let line = format!(
+            r#"{{"op":"predict","assembly":"m","service":"app","bindings":{{"v0":{v0},"v1":1,"v2":1,"v3":1}}}}"#
         );
+        assert!(response(&client.roundtrip(&line).unwrap()).ok);
     }
     let stats = response(&client.roundtrip(r#"{"op":"stats"}"#).unwrap())
         .result
@@ -309,20 +315,25 @@ fn stats_reflect_shared_plan_cache_once() {
             .and_then(JsonValue::as_f64)
             .unwrap_or_else(|| panic!("stats carries {key}"))
     };
-    // Three identical predicts over one structure: the flow compiles once
-    // (first request), then the entry's shared value cache answers the
-    // repeats — if stats were double-counted across the per-request
-    // evaluators the miss count would drift above the number of distinct
-    // structures.
+    // One sparse-regime structure: the first request solves it directly,
+    // the second (the entry's second sighting) compiles the entry's
+    // program and the flow's plan, and the third replays the plan the
+    // program pinned; the repeat is answered by the entry's shared value
+    // cache. If stats were double-counted across the per-request
+    // evaluators the counts would drift above these.
     assert_eq!(get("plan_misses") as u64, 1, "one structure, one compile");
+    assert_eq!(get("tape_replays") as u64, 2, "requests two and three");
+    assert_eq!(get("programs_compiled") as u64, 1);
     assert_eq!(
         get("value_cache_hits") as u64,
-        2,
-        "two repeats must hit the entry's shared memo"
+        1,
+        "the repeat must hit the entry's shared memo"
     );
-    // The stats op reads the counter before counting itself: load + 3
+    let keys = stats.as_object().unwrap();
+    assert!(!keys.contains_key("rank1_solves") && !keys.contains_key("full_solves"));
+    // The stats op reads the counter before counting itself: load + 4
     // predicts have been answered at that point.
-    assert_eq!(get("requests") as u64, 4);
+    assert_eq!(get("requests") as u64, 5);
     assert!(response(&client.roundtrip(r#"{"op":"shutdown"}"#).unwrap()).ok);
     runner.join().unwrap();
 }

@@ -6,7 +6,7 @@
 //! offset  field
 //! ------  -----------------------------------------------------------
 //!  0      magic            [u8; 8] = b"ARCHRELS"
-//!  8      format_version   u32 (= 1)
+//!  8      format_version   u32 (= 2)
 //! 12      kind             u32 (1 = solve plan, 2 = program bundle)
 //! 16      key              u64 (plan: structure fingerprint;
 //!                               bundle: assembly digest)
@@ -22,11 +22,10 @@
 //!
 //! All integers are little-endian. A *plan* archive has six meta scalars
 //! `[plan_kind, n_states, from_pos, slot_count, nt, n_terms]` and seven
-//! sections — acyclic (`plan_kind` 0): `t_idx, pos, r_slot, self_slot,
-//! term_off, term_slot, term_pos`, all `u32`; cyclic (`plan_kind` 1):
-//! `t_idx, role_tag, role_row, role_col` (`u32`), `baseline, factors`
-//! (`f64`), `perm` (`u32`). A *bundle* archive has meta `[count, 0…]` and
-//! one `u64` section of plan fingerprints.
+//! `u32` sections, the back-substitution tape: `t_idx, pos, r_slot,
+//! self_slot, term_off, term_slot, term_pos`. `plan_kind` is always 0 (the
+//! tape). A *bundle* archive has meta `[count, 0…]` and one `u64` section
+//! of plan fingerprints.
 //!
 //! Validation order on open is deliberate: magic and version before the
 //! checksum (so a wrong-version file reads as [`StoreError::BadVersion`],
@@ -37,13 +36,13 @@
 
 use std::sync::Arc;
 
-use archrel_markov::{PlanBody, PlanParts, Section, SolvePlan};
+use archrel_markov::{PlanParts, Section, SolvePlan};
 
 use crate::error::StoreError;
 use crate::mapped::{Backing, MappedSection};
 
 /// Version of the archive layout; bumped on any incompatible change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 pub(crate) const MAGIC: [u8; 8] = *b"ARCHRELS";
 pub(crate) const KIND_PLAN: u32 = 1;
@@ -56,8 +55,8 @@ const TABLE_OFF: usize = HEADER_LEN + META_LEN * 8;
 const PLAN_SECTIONS: usize = 7;
 const BUNDLE_SECTIONS: usize = 1;
 
-const PLAN_ACYCLIC: u64 = 0;
-const PLAN_CYCLIC: u64 = 1;
+/// The only plan kind: a back-substitution tape.
+const PLAN_TAPE: u64 = 0;
 
 /// FNV-1a 64-bit hash — the archive checksum and the assembly digest
 /// primitive. Exposed so corruption tests can craft archives with valid
@@ -153,7 +152,6 @@ pub(crate) fn build_key() -> u64 {
 /// One payload section staged for writing.
 enum Payload<'a> {
     U32(&'a [u32]),
-    F64(&'a [f64]),
     U64(&'a [u64]),
 }
 
@@ -161,7 +159,6 @@ impl Payload<'_> {
     fn item_len(&self) -> usize {
         match self {
             Payload::U32(s) => s.len(),
-            Payload::F64(s) => s.len(),
             Payload::U64(s) => s.len(),
         }
     }
@@ -169,7 +166,6 @@ impl Payload<'_> {
     fn byte_len(&self) -> usize {
         match self {
             Payload::U32(s) => s.len() * 4,
-            Payload::F64(s) => s.len() * 8,
             Payload::U64(s) => s.len() * 8,
         }
     }
@@ -177,11 +173,6 @@ impl Payload<'_> {
     fn write_to(&self, out: &mut Vec<u8>) {
         match self {
             Payload::U32(s) => {
-                for v in *s {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Payload::F64(s) => {
                 for v in *s {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
@@ -235,66 +226,27 @@ fn assemble(kind: u32, key: u64, meta: [u64; META_LEN], payloads: &[Payload<'_>]
 /// Serializes a compiled plan into archive bytes.
 pub fn encode_plan(plan: &SolvePlan) -> Vec<u8> {
     let parts = plan.to_parts();
-    match &parts.body {
-        PlanBody::Acyclic {
-            t_idx,
-            pos,
-            r_slot,
-            self_slot,
-            term_off,
-            term_slot,
-            term_pos,
-        } => assemble(
-            KIND_PLAN,
-            parts.fingerprint,
-            [
-                PLAN_ACYCLIC,
-                parts.n_states as u64,
-                parts.from_pos as u64,
-                parts.slot_count as u64,
-                t_idx.len() as u64,
-                term_slot.len() as u64,
-            ],
-            &[
-                Payload::U32(t_idx.as_slice()),
-                Payload::U32(pos.as_slice()),
-                Payload::U32(r_slot.as_slice()),
-                Payload::U32(self_slot.as_slice()),
-                Payload::U32(term_off.as_slice()),
-                Payload::U32(term_slot.as_slice()),
-                Payload::U32(term_pos.as_slice()),
-            ],
-        ),
-        PlanBody::Cyclic {
-            t_idx,
-            role_tag,
-            role_row,
-            role_col,
-            baseline,
-            factors,
-            perm,
-        } => assemble(
-            KIND_PLAN,
-            parts.fingerprint,
-            [
-                PLAN_CYCLIC,
-                parts.n_states as u64,
-                parts.from_pos as u64,
-                parts.slot_count as u64,
-                t_idx.len() as u64,
-                0,
-            ],
-            &[
-                Payload::U32(t_idx.as_slice()),
-                Payload::U32(role_tag.as_slice()),
-                Payload::U32(role_row.as_slice()),
-                Payload::U32(role_col.as_slice()),
-                Payload::F64(baseline.as_slice()),
-                Payload::F64(factors.as_slice()),
-                Payload::U32(perm.as_slice()),
-            ],
-        ),
-    }
+    assemble(
+        KIND_PLAN,
+        parts.fingerprint,
+        [
+            PLAN_TAPE,
+            parts.n_states as u64,
+            parts.from_pos as u64,
+            parts.slot_count as u64,
+            parts.t_idx.len() as u64,
+            parts.term_slot.len() as u64,
+        ],
+        &[
+            Payload::U32(parts.t_idx.as_slice()),
+            Payload::U32(parts.pos.as_slice()),
+            Payload::U32(parts.r_slot.as_slice()),
+            Payload::U32(parts.self_slot.as_slice()),
+            Payload::U32(parts.term_off.as_slice()),
+            Payload::U32(parts.term_slot.as_slice()),
+            Payload::U32(parts.term_pos.as_slice()),
+        ],
+    )
 }
 
 /// Serializes a program bundle (the set of plan fingerprints a compiled
@@ -443,78 +395,38 @@ pub fn decode_plan(backing: Backing, expected_fingerprint: u64) -> Result<SolveP
     let slot_count = archive.meta_usize(3)?;
     let nt = archive.meta_usize(4)?;
     let n_terms = archive.meta_usize(5)?;
-    let body = match archive.meta[0] {
-        PLAN_ACYCLIC => {
-            let body = PlanBody::Acyclic {
-                t_idx: archive.section::<u32>(0)?,
-                pos: archive.section::<u32>(1)?,
-                r_slot: archive.section::<u32>(2)?,
-                self_slot: archive.section::<u32>(3)?,
-                term_off: archive.section::<u32>(4)?,
-                term_slot: archive.section::<u32>(5)?,
-                term_pos: archive.section::<u32>(6)?,
-            };
-            // Cross-check the table against the header metadata so the two
-            // can never disagree silently.
-            if let PlanBody::Acyclic {
-                t_idx,
-                pos,
-                term_off,
-                term_slot,
-                ..
-            } = &body
-            {
-                if t_idx.len() != nt
-                    || pos.len() != nt
-                    || term_off.len() != nt + 1
-                    || term_slot.len() != n_terms
-                {
-                    return Err(StoreError::BadSection {
-                        section: 0,
-                        reason: "section lengths disagree with metadata",
-                    });
-                }
-            }
-            body
-        }
-        PLAN_CYCLIC => {
-            let body = PlanBody::Cyclic {
-                t_idx: archive.section::<u32>(0)?,
-                role_tag: archive.section::<u32>(1)?,
-                role_row: archive.section::<u32>(2)?,
-                role_col: archive.section::<u32>(3)?,
-                baseline: archive.section::<f64>(4)?,
-                factors: archive.section::<f64>(5)?,
-                perm: archive.section::<u32>(6)?,
-            };
-            if let PlanBody::Cyclic {
-                t_idx, role_tag, ..
-            } = &body
-            {
-                if t_idx.len() != nt || role_tag.len() != slot_count {
-                    return Err(StoreError::BadSection {
-                        section: 0,
-                        reason: "section lengths disagree with metadata",
-                    });
-                }
-            }
-            body
-        }
-        _ => {
-            return Err(StoreError::BadSection {
-                section: 0,
-                reason: "unknown plan kind",
-            })
-        }
-    };
-    let plan = SolvePlan::from_parts(PlanParts {
+    if archive.meta[0] != PLAN_TAPE {
+        return Err(StoreError::BadSection {
+            section: 0,
+            reason: "unknown plan kind",
+        });
+    }
+    let parts = PlanParts {
         fingerprint: archive.key,
         n_states,
         from_pos,
         slot_count,
-        body,
-    })?;
-    Ok(plan)
+        t_idx: archive.section::<u32>(0)?,
+        pos: archive.section::<u32>(1)?,
+        r_slot: archive.section::<u32>(2)?,
+        self_slot: archive.section::<u32>(3)?,
+        term_off: archive.section::<u32>(4)?,
+        term_slot: archive.section::<u32>(5)?,
+        term_pos: archive.section::<u32>(6)?,
+    };
+    // Cross-check the table against the header metadata so the two can
+    // never disagree silently.
+    if parts.t_idx.len() != nt
+        || parts.pos.len() != nt
+        || parts.term_off.len() != nt + 1
+        || parts.term_slot.len() != n_terms
+    {
+        return Err(StoreError::BadSection {
+            section: 0,
+            reason: "section lengths disagree with metadata",
+        });
+    }
+    Ok(SolvePlan::from_parts(parts)?)
 }
 
 /// Opens archive bytes as a program bundle keyed to `expected_digest`,
@@ -556,7 +468,7 @@ mod tests {
             .transition("b", "fail", 0.1)
             .build()
             .unwrap();
-        let plan = SolvePlan::compile(&chain, &"s", &"end").unwrap();
+        let plan = SolvePlan::compile(&chain, &"s", &"end").unwrap().unwrap();
         let params = plan.parameters(&chain).unwrap();
         (plan, params)
     }

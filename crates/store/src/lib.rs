@@ -2,15 +2,14 @@
 //! assembly-program bundles.
 //!
 //! Compiling a [`SolvePlan`](archrel_markov::SolvePlan) costs a topological
-//! sort for acyclic structures and a dense `O(n³)` LU factorization for
-//! cyclic ones. Both depend only on the chain's *structure* — exactly what
-//! the plan's fingerprint hashes — so the result can be archived once and
-//! reopened by any later process working on the same structure. This crate
-//! provides that archive tier:
+//! sort and a tape layout pass over the chain. Both depend only on the
+//! chain's *structure* — exactly what the plan's fingerprint hashes — so
+//! the tape can be archived once and reopened by any later process working
+//! on the same structure. This crate provides that archive tier:
 //!
 //! - [`format`](mod@format): a relative-offset, checksummed binary layout whose payload
 //!   sections are consumed in place — loading performs zero deserialization
-//!   copies of the tape or factor slabs (the bytes are mapped and handed to
+//!   copies of the tape slabs (the bytes are mapped and handed to
 //!   `archrel-markov` as [`Section::Mapped`](archrel_markov::Section) views).
 //! - [`ArtifactStore`]: a shared directory of such archives with
 //!   atomic-rename publication, per-counter traffic stats, and a
@@ -22,7 +21,7 @@
 //! version, build key, whole-file checksum, section framing, alignment)
 //! and *semantically* by
 //! [`SolvePlan::from_parts`](archrel_markov::SolvePlan::from_parts)
-//! (bounds, permutations, finiteness, stochasticity) before a single
+//! (bounds, permutations, offsets) before a single
 //! archived value feeds an evaluation.
 
 #![forbid(missing_docs)]

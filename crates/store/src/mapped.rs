@@ -14,8 +14,8 @@
 //!    `align_of::<T>()` at construction (mmap bases are page-aligned, but
 //!    the check also keeps the non-unix buffer fallback honest).
 //!
-//! `T` is restricted to [`Pod`] types (`u32`, `u64`, `f64`) for which every
-//! bit pattern is a valid value, so a hostile byte stream can at worst decode
+//! `T` is restricted to [`Pod`] types (`u32`, `u64`) for which every bit
+//! pattern is a valid value, so a hostile byte stream can at worst decode
 //! to wrong *numbers* — which the plan-level validation then rejects — never
 //! to undefined behavior.
 
@@ -39,9 +39,6 @@ pub(crate) unsafe trait Pod: Copy + Send + Sync + 'static {}
 unsafe impl Pod for u32 {}
 // SAFETY: as above.
 unsafe impl Pod for u64 {}
-// SAFETY: as above (NaN payloads are valid f64 values; finiteness is a
-// semantic check done by plan validation, not a safety condition).
-unsafe impl Pod for f64 {}
 
 /// Byte storage an archive was opened from: a file mapping on unix, an
 /// 8-byte-aligned heap buffer elsewhere (and for crafted in-memory tests).

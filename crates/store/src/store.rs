@@ -367,7 +367,7 @@ mod tests {
             .transition("a", "fail", 0.05)
             .build()
             .unwrap();
-        let plan = SolvePlan::compile(&chain, &"s", &"end").unwrap();
+        let plan = SolvePlan::compile(&chain, &"s", &"end").unwrap().unwrap();
         let params = plan.parameters(&chain).unwrap();
         (plan, params)
     }

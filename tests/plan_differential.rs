@@ -2,16 +2,13 @@
 //!
 //! A compiled evaluation plan (`markov::SolvePlan`) must be
 //! indistinguishable, to the user, from the dense fundamental-matrix solve
-//! it replaces — including when the Sherman–Morrison rank-1 incremental
-//! path answers a perturbed evaluation. The properties pin that down:
+//! it replaces. The properties pin that down:
 //!
 //! 1. on randomly generated absorbing DTMCs — with self-loops, cycles,
 //!    dangling states (implicitly absorbing), and multiple absorbing
-//!    states — a plan compiled once and evaluated on every same-structure
-//!    chain agrees with a fresh dense solve to 1e-10;
-//! 2. perturbing exactly one transient row (the Sherman–Morrison case on
-//!    cyclic plans) keeps that agreement;
-//! 3. degenerate cases behave like the direct solvers: a perturbation that
+//!    states — a plan compiles exactly when the transient graph is acyclic
+//!    up to self-loops, and then agrees with a fresh dense solve to 1e-10;
+//! 2. degenerate cases behave like the direct solvers: a perturbation that
 //!    drives a transition to 0 or 1 changes the structure (the plan refuses
 //!    the stale shape and a recompile agrees with dense), a Start → End
 //!    chain predicts certain success, and an unreachable End errors
@@ -38,7 +35,8 @@ struct RowSpec {
     /// Weight of the self-loop.
     self_weight: f64,
     /// Weights of transitions to other transient states (target picked by
-    /// index modulo the state count).
+    /// index modulo the state count, or modulo the later states when the
+    /// chain is generated acyclic).
     targets: Vec<(usize, f64)>,
     /// Whether this state also feeds a dangling (implicitly absorbing)
     /// state.
@@ -66,7 +64,9 @@ fn row_spec() -> impl Strategy<Value = RowSpec> {
 
 /// Expands specs into explicit merged rows over transient states `0..n`
 /// plus absorbing `END`, `FAIL`, and per-state dangling sinks (2000 + i).
-fn rows_from_specs(specs: &[RowSpec]) -> Vec<Vec<(u32, f64)>> {
+/// With `forward_only`, transient targets lie after their source, so the
+/// transient graph is acyclic up to self-loops.
+fn rows_from_specs(specs: &[RowSpec], forward_only: bool) -> Vec<Vec<(u32, f64)>> {
     let n = specs.len();
     let mut rows = Vec::with_capacity(n);
     for (i, spec) in specs.iter().enumerate() {
@@ -79,7 +79,15 @@ fn rows_from_specs(specs: &[RowSpec]) -> Vec<Vec<(u32, f64)>> {
         }
         let mut weights: Vec<(u32, f64)> = vec![(i as u32, spec.self_weight)];
         for &(raw, w) in &spec.targets {
-            weights.push(((raw % n) as u32, w));
+            let target = if forward_only {
+                if i + 1 == n {
+                    continue;
+                }
+                i + 1 + raw % (n - i - 1)
+            } else {
+                raw % n
+            };
+            weights.push((target as u32, w));
         }
         if spec.dangling {
             weights.push((2000 + i as u32, 0.05));
@@ -116,43 +124,46 @@ fn chain_from_rows(rows: &[Vec<(u32, f64)>]) -> Dtmc<u32> {
     b.state(END).state(FAIL).build().expect("rows sum to one")
 }
 
-/// Moves a `t` fraction of row `row`'s END probability onto its first
-/// transient (Q) entry — a structure-preserving single-row perturbation
-/// that changes the coefficient matrix, which on a cyclic plan exercises
-/// the Sherman–Morrison incremental re-solve.
-fn perturb_row(rows: &mut [Vec<(u32, f64)>], row: usize, t: f64) {
-    let n = rows.len() as u32;
-    let end_p = rows[row]
-        .iter()
-        .find(|&&(tgt, _)| tgt == END)
-        .map(|&(_, p)| p)
-        .expect("every row leaks to END");
-    let delta = end_p * t;
-    let q_target = rows[row]
-        .iter()
-        .find(|&&(tgt, _)| tgt < n)
-        .map(|&(tgt, _)| tgt)
-        .expect("every row has a transient entry");
-    for entry in rows[row].iter_mut() {
-        if entry.0 == END {
-            entry.1 -= delta;
-        } else if entry.0 == q_target {
-            entry.1 += delta;
+/// Whether the transient graph of `rows` (states `0..rows.len()`) has a
+/// cycle other than a self-loop.
+fn has_cycle(rows: &[Vec<(u32, f64)>]) -> bool {
+    let n = rows.len();
+    // 0 = unvisited, 1 = on the DFS stack, 2 = done.
+    fn visit(k: usize, rows: &[Vec<(u32, f64)>], mark: &mut [u8]) -> bool {
+        mark[k] = 1;
+        for &(t, _) in &rows[k] {
+            let t = t as usize;
+            if t >= rows.len() || t == k {
+                continue;
+            }
+            if mark[t] == 1 || (mark[t] == 0 && visit(t, rows, mark)) {
+                return true;
+            }
         }
+        mark[k] = 2;
+        false
     }
+    let mut mark = vec![0u8; n];
+    (0..n).any(|k| mark[k] == 0 && visit(k, rows, &mut mark))
 }
 
 proptest! {
-    /// Random absorbing DTMCs: one plan compiled from the baseline chain,
-    /// replayed from every transient state, agrees with a fresh dense
-    /// fundamental-matrix solve to 1e-10.
+    /// Random absorbing DTMCs, cyclic or acyclic: a plan compiles exactly
+    /// for the acyclic ones, and, replayed from every transient state,
+    /// agrees with a fresh dense fundamental-matrix solve to 1e-10.
     #[test]
     fn compiled_plan_agrees_with_dense_on_random_chains(
         specs in proptest::collection::vec(row_spec(), 2..10),
+        forward_only in proptest::bool::ANY,
     ) {
-        let chain = chain_from_rows(&rows_from_specs(&specs));
+        let rows = rows_from_specs(&specs, forward_only);
+        let chain = chain_from_rows(&rows);
+        let cyclic = has_cycle(&rows);
+        prop_assert!(!(forward_only && cyclic));
         for from in 0..specs.len() as u32 {
             let plan = SolvePlan::compile(&chain, &from, &END).unwrap();
+            prop_assert_eq!(plan.is_none(), cyclic, "from {}", from);
+            let Some(plan) = plan else { continue };
             let params = plan.parameters(&chain).unwrap();
             let compiled = plan.evaluate(&params).unwrap();
             let dense = absorption_probability_to(&chain, &from, &END).unwrap();
@@ -160,40 +171,6 @@ proptest! {
                 (dense - compiled).abs() < 1e-10,
                 "from {}: dense {} vs compiled {}",
                 from, dense, compiled
-            );
-        }
-    }
-
-    /// Single-row perturbations evaluated through the *baseline* plan — the
-    /// Sherman–Morrison rank-1 path on cyclic plans — agree with a dense
-    /// solve of the perturbed chain to 1e-10.
-    #[test]
-    fn rank1_incremental_resolve_agrees_with_dense(
-        specs in proptest::collection::vec(row_spec(), 2..10),
-        row_pick in 0usize..64,
-        t in 0.1..0.9f64,
-    ) {
-        let baseline_rows = rows_from_specs(&specs);
-        let baseline = chain_from_rows(&baseline_rows);
-        let row = row_pick % specs.len();
-        let mut perturbed_rows = baseline_rows.clone();
-        perturb_row(&mut perturbed_rows, row, t);
-        let perturbed = chain_from_rows(&perturbed_rows);
-        // The perturbation preserves the structure, so the baseline plan
-        // accepts the perturbed chain's parameters.
-        prop_assert_eq!(
-            structure_fingerprint(&baseline, &0u32, &END),
-            structure_fingerprint(&perturbed, &0u32, &END)
-        );
-        for from in 0..specs.len() as u32 {
-            let plan = SolvePlan::compile(&baseline, &from, &END).unwrap();
-            let params = plan.parameters(&perturbed).unwrap();
-            let compiled = plan.evaluate(&params).unwrap();
-            let dense = absorption_probability_to(&perturbed, &from, &END).unwrap();
-            prop_assert!(
-                (dense - compiled).abs() < 1e-10,
-                "from {} (perturbed row {}): dense {} vs compiled {}",
-                from, row, dense, compiled
             );
         }
     }
@@ -208,7 +185,7 @@ fn perturbation_to_zero_changes_structure_and_recompiles() {
         let mut b = DtmcBuilder::new()
             .transition(0u32, 1u32, 0.6)
             .transition(0u32, END, 0.4)
-            .transition(1u32, 0u32, 0.5)
+            .transition(1u32, 1u32, 0.5)
             .transition(1u32, END, 0.5 - p_fail);
         if p_fail > 0.0 {
             b = b.transition(1u32, FAIL, p_fail);
@@ -221,13 +198,15 @@ fn perturbation_to_zero_changes_structure_and_recompiles() {
         structure_fingerprint(&baseline, &0u32, &END),
         structure_fingerprint(&degenerate, &0u32, &END)
     );
-    let stale = SolvePlan::compile(&baseline, &0u32, &END).unwrap();
+    let stale = SolvePlan::compile(&baseline, &0u32, &END).unwrap().unwrap();
     // The stale plan refuses the degenerate chain's shape instead of
     // silently misreading it.
     assert!(stale.parameters(&degenerate).is_err());
     // A recompile (what the structure-keyed cache does on the new
     // fingerprint) agrees with dense — here certain success.
-    let fresh = SolvePlan::compile(&degenerate, &0u32, &END).unwrap();
+    let fresh = SolvePlan::compile(&degenerate, &0u32, &END)
+        .unwrap()
+        .unwrap();
     let params = fresh.parameters(&degenerate).unwrap();
     let compiled = fresh.evaluate(&params).unwrap();
     let dense = absorption_probability_to(&degenerate, &0u32, &END).unwrap();
@@ -252,9 +231,9 @@ fn perturbation_to_one_changes_structure_and_recompiles() {
         structure_fingerprint(&baseline, &0u32, &END),
         structure_fingerprint(&certain, &0u32, &END)
     );
-    let stale = SolvePlan::compile(&baseline, &0u32, &END).unwrap();
+    let stale = SolvePlan::compile(&baseline, &0u32, &END).unwrap().unwrap();
     assert!(stale.parameters(&certain).is_err());
-    let fresh = SolvePlan::compile(&certain, &0u32, &END).unwrap();
+    let fresh = SolvePlan::compile(&certain, &0u32, &END).unwrap().unwrap();
     let value = fresh
         .evaluate(&fresh.parameters(&certain).unwrap())
         .unwrap();
@@ -273,7 +252,7 @@ fn start_straight_to_end_is_certain_success() {
         .transition(0u32, END, 1.0)
         .build()
         .unwrap();
-    let plan = SolvePlan::compile(&chain, &0u32, &END).unwrap();
+    let plan = SolvePlan::compile(&chain, &0u32, &END).unwrap().unwrap();
     let value = plan.evaluate(&plan.parameters(&chain).unwrap()).unwrap();
     assert_eq!(value, 1.0);
     assert_eq!(
@@ -283,8 +262,7 @@ fn start_straight_to_end_is_certain_success() {
 }
 
 /// An unreachable End errors identically to the dense solver — and through
-/// the core evaluator the compiled policy, like every other policy, folds
-/// that into Pfail = 1.
+/// the core evaluator every policy folds that into Pfail = 1.
 #[test]
 fn unreachable_end_errors_like_the_dense_solver() {
     // State 0 drains into FAIL only; END exists but cannot be reached.
@@ -298,7 +276,7 @@ fn unreachable_end_errors_like_the_dense_solver() {
     assert_eq!(dense_err.to_string(), plan_err.to_string());
 
     // End-to-end: a flow whose states always fail predicts Pfail = 1 under
-    // the compiled policy, exactly like the dense policy.
+    // every policy.
     use archrel::expr::Expr;
     use archrel::model::{
         catalog, AssemblyBuilder, CompositeService, FlowBuilder, FlowState, Service, ServiceCall,
@@ -320,7 +298,11 @@ fn unreachable_end_errors_like_the_dense_solver() {
         ))
         .build()
         .unwrap();
-    for policy in [SolverPolicy::Dense, SolverPolicy::Compiled] {
+    for policy in [
+        SolverPolicy::Auto,
+        SolverPolicy::Dense,
+        SolverPolicy::Sparse,
+    ] {
         let p = Evaluator::with_options(
             &assembly,
             EvalOptions {

@@ -160,7 +160,6 @@ fn batch_is_bitwise_deterministic_under_every_policy() {
         SolverPolicy::Auto,
         SolverPolicy::Dense,
         SolverPolicy::Sparse,
-        SolverPolicy::Compiled,
     ] {
         let options = EvalOptions {
             solver: policy,

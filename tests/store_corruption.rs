@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use archrel::core::{EvalOptions, Evaluator, PlanCache, SolverPolicy};
+use archrel::expr::{Bindings, Expr};
 use archrel::markov::{Dtmc, DtmcBuilder, SolvePlan};
 use archrel::store::{archive_checksum, ArtifactMode, ArtifactStore, StoreError, FORMAT_VERSION};
 
@@ -40,14 +41,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A small cyclic absorbing chain — cyclic so the archive carries every
-/// section kind the format defines (factors, permutation, baseline).
+/// A small acyclic absorbing chain whose tape has target, self-loop and
+/// successor slots, so every section of the archive is non-empty.
 fn sample_chain() -> Dtmc<u32> {
     DtmcBuilder::new()
         .transition(0u32, 1u32, 0.55)
         .transition(0u32, END, 0.35)
         .transition(0u32, FAIL, 0.10)
-        .transition(1u32, 0u32, 0.25)
+        .transition(1u32, 1u32, 0.25)
         .transition(1u32, 2u32, 0.40)
         .transition(1u32, END, 0.35)
         .transition(2u32, 2u32, 0.15)
@@ -63,7 +64,9 @@ fn published_fixture(tag: &str) -> (Arc<ArtifactStore>, SolvePlan, Vec<u8>) {
     let store =
         Arc::new(ArtifactStore::open(scratch_dir(tag), ArtifactMode::ReadWrite).expect("open"));
     let chain = sample_chain();
-    let plan = SolvePlan::compile(&chain, &0u32, &END).expect("compiles");
+    let plan = SolvePlan::compile(&chain, &0u32, &END)
+        .expect("compiles")
+        .expect("acyclic chain");
     assert!(store.store_plan(&plan).expect("publishes"));
     let bytes = std::fs::read(store.plan_path(plan.fingerprint())).expect("published file");
     (store, plan, bytes)
@@ -164,41 +167,77 @@ fn fingerprint_mismatch_is_rejected() {
     cleanup(&store);
 }
 
+/// A 64-state sequential flow with a demand parameter: acyclic and in the
+/// default solver's sparse regime, so its second evaluation on one
+/// evaluator compiles (and publishes) a plan.
+fn long_flow_assembly() -> archrel::model::Assembly {
+    use archrel::model::{
+        catalog, AssemblyBuilder, CompositeService, FlowBuilder, FlowState, Service, ServiceCall,
+        StateId,
+    };
+    let name = |i: usize| StateId::named(format!("s{i}"));
+    let mut flow = FlowBuilder::new().transition(StateId::Start, name(0), Expr::one());
+    for i in 0..64 {
+        flow = flow.state(FlowState::new(
+            name(i),
+            vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::param("n"))],
+        ));
+        let next = if i == 63 { StateId::End } else { name(i + 1) };
+        flow = flow.transition(name(i), next, Expr::one());
+    }
+    AssemblyBuilder::new()
+        .service(catalog::cpu_resource("cpu", 1e9, 1e-9))
+        .service(Service::Composite(
+            CompositeService::new("app", vec!["n".into()], flow.build().unwrap()).unwrap(),
+        ))
+        .build()
+        .unwrap()
+}
+
 /// End-to-end fallback: an evaluator pointed at a store whose archive is
 /// corrupt still answers correctly (fresh compile), counts the rejection
 /// in `CacheStats::store_validate_rejects`, and the `load_plan` soft
 /// path returns `None` rather than erroring.
 #[test]
 fn corrupt_archive_falls_back_to_fresh_compilation() {
-    use archrel::model::paper;
-
-    let assembly = paper::local_assembly(&paper::PaperParams::default()).unwrap();
-    let env = paper::search_bindings(4.0, 1024.0, 1.0);
+    let assembly = long_flow_assembly();
+    let points: Vec<Bindings> = [1e6, 2e6, 3e6]
+        .iter()
+        .map(|&n| Bindings::new().with("n", n))
+        .collect();
     let opts = EvalOptions {
-        solver: SolverPolicy::Compiled,
+        solver: SolverPolicy::Auto,
         ..EvalOptions::default()
+    };
+    // One evaluator answers every point: the second one compiles the
+    // program and its pinned plan.
+    let run = |store: Option<Arc<ArtifactStore>>| {
+        let eval = Evaluator::with_plan_cache(
+            &assembly,
+            opts,
+            Arc::new(PlanCache::new().with_artifact_store(store)),
+        );
+        let bits: Vec<u64> = points
+            .iter()
+            .map(|env| {
+                eval.failure_probability(&"app".into(), env)
+                    .unwrap()
+                    .value()
+                    .to_bits()
+            })
+            .collect();
+        (bits, eval.cache_stats())
     };
 
     // Reference result with no store at all.
-    let reference = Evaluator::with_plan_cache(
-        &assembly,
-        opts,
-        Arc::new(PlanCache::new().with_artifact_store(None)),
-    )
-    .failure_probability(&paper::SEARCH.into(), &env)
-    .unwrap()
-    .value();
+    let (reference, stats) = run(None);
+    assert_eq!(stats.plan_misses, 1, "{stats:?}");
 
     // Warm a store, then corrupt every published archive in place.
     let dir = scratch_dir("fallback");
     let warm = Arc::new(ArtifactStore::open(&dir, ArtifactMode::ReadWrite).unwrap());
-    Evaluator::with_plan_cache(
-        &assembly,
-        opts,
-        Arc::new(PlanCache::new().with_artifact_store(Some(Arc::clone(&warm)))),
-    )
-    .failure_probability(&paper::SEARCH.into(), &env)
-    .unwrap();
+    let (warmed, _) = run(Some(Arc::clone(&warm)));
+    assert_eq!(warmed, reference);
     let mut corrupted = 0;
     for entry in std::fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
@@ -213,17 +252,8 @@ fn corrupt_archive_falls_back_to_fresh_compilation() {
     // A cold reader over the corrupted store: same answer, rejections
     // counted, soft path silent.
     let read = Arc::new(ArtifactStore::open(&dir, ArtifactMode::Read).unwrap());
-    let eval = Evaluator::with_plan_cache(
-        &assembly,
-        opts,
-        Arc::new(PlanCache::new().with_artifact_store(Some(Arc::clone(&read)))),
-    );
-    let got = eval
-        .failure_probability(&paper::SEARCH.into(), &env)
-        .unwrap()
-        .value();
-    assert_eq!(got.to_bits(), reference.to_bits());
-    let stats = eval.cache_stats();
+    let (got, stats) = run(Some(Arc::clone(&read)));
+    assert_eq!(got, reference);
     assert!(
         stats.store_validate_rejects > 0,
         "corrupt archives must be counted: {stats:?}"

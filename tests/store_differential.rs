@@ -1,26 +1,33 @@
 //! Archived ↔ freshly-compiled differential suite for the persistent
 //! artifact store.
 //!
-//! The store's contract (ISSUE 7, DESIGN.md "Persistent artifact store"):
-//! an evaluation answered from an archived `SolvePlan` / program bundle
+//! The store's contract (DESIGN.md "Persistent artifact store"): an
+//! evaluation answered from an archived `SolvePlan` / program bundle
 //! loaded off disk must be **bitwise identical** to the same evaluation
-//! with every plan compiled fresh in-process — across solver policies,
-//! evaluation engines, fixed-point schemes, and batch worker counts.
-//! The properties pin that down:
+//! with every plan compiled fresh in-process — across evaluation engines,
+//! fixed-point schemes, and batch worker counts. The properties pin that
+//! down:
 //!
 //! 1. on randomly generated *acyclic* flow assemblies, warm-then-read
 //!    through a shared artifact directory reproduces the store-free
-//!    reference bit for bit under every `{solver} × {engine}` row, the
-//!    read pass actually serves archives (`store_hits > 0`, zero writes,
-//!    zero rejects), and `BatchEvaluator` at 1/2/4 workers over an
-//!    archived cache matches the sequential store-free reference;
-//! 2. the same holds on randomly generated *cyclic* flow assemblies,
-//!    where the archived plan's Sherman–Morrison baseline is replayed
-//!    against the same query order as the fresh compile;
+//!    reference bit for bit under every engine, the read pass serves
+//!    archives whenever the default solver compiled a plan (a long flow
+//!    evaluated at two or more points; zero writes and zero rejects
+//!    always), and `BatchEvaluator` at 1/2/4 workers over an archived
+//!    cache matches the sequential store-free reference;
+//! 2. the same holds on randomly generated *cyclic* flow assemblies, which
+//!    no plan answers;
 //! 3. a recursive (cyclic call-graph) assembly under
 //!    `CycleMode::FixedPoint` stays bitwise-stable through the store for
 //!    both fixed-point schemes, exercising the program-bundle warm-start
-//!    path.
+//!    path;
+//! 4. no answer depends on cache history: a point evaluated cold matches,
+//!    bit for bit, the same point evaluated after a random warm-up history
+//!    of other bindings over one shared plan cache, under every solver
+//!    policy and engine.
+//!
+//! About half the random flows have 62–69 states, so their augmented
+//! chains are in the default solver's sparse regime, where plans answer.
 //!
 //! Evaluators are always built with an explicit store (or explicitly
 //! none) via `PlanCache::with_artifact_store`, never `env::set_var` —
@@ -75,6 +82,28 @@ struct NodeSpec {
     back: Option<(usize, f64)>,
 }
 
+/// Random flow specs: half short (2–7 states), half long (62–69 states,
+/// the default solver's sparse regime).
+fn flow_specs() -> impl Strategy<Value = Vec<NodeSpec>> {
+    (
+        proptest::bool::ANY,
+        proptest::collection::vec(node_spec(), 62..70),
+    )
+        .prop_map(|(long, specs)| {
+            if long {
+                specs
+            } else {
+                specs[..2 + specs.len() % 6].to_vec()
+            }
+        })
+}
+
+/// Whether `specs` is long enough for the default solver to answer its
+/// acyclic flow from a plan.
+fn long(specs: &[NodeSpec]) -> bool {
+    specs.len() >= 62
+}
+
 fn node_spec() -> impl Strategy<Value = NodeSpec> {
     (
         0usize..16,
@@ -109,7 +138,9 @@ fn service_pool() -> Vec<Service> {
 
 /// Builds the assembly for a random flow over `specs`, acyclic or (when
 /// `cyclic` and some spec carries a back edge) cyclic. Edge weights are
-/// normalized per state so every row is stochastic.
+/// normalized per state so every row is stochastic. The formal `n` scales
+/// every state's CPU demand; `m` scales state `s0`'s only, so two points
+/// that differ in `m` alone differ in one row of the chain.
 fn flow_assembly(specs: &[NodeSpec], cyclic: bool) -> Assembly {
     let n = specs.len();
     let mut flow = FlowBuilder::new();
@@ -118,10 +149,14 @@ fn flow_assembly(specs: &[NodeSpec], cyclic: bool) -> Assembly {
             format!("s{i}"),
             vec![
                 ServiceCall::new(format!("svc{}", spec.svc % 3)).with_param("x", Expr::num(1.0)),
-                ServiceCall::new("cpu").with_param(
-                    catalog::CPU_PARAM,
-                    Expr::num(spec.demand) * Expr::param("n"),
-                ),
+                ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, {
+                    let demand = Expr::num(spec.demand) * Expr::param("n");
+                    if i == 0 {
+                        demand * Expr::param("m")
+                    } else {
+                        demand
+                    }
+                }),
             ],
         ));
     }
@@ -169,7 +204,7 @@ fn flow_assembly(specs: &[NodeSpec], cyclic: bool) -> Assembly {
         .service(Service::Composite(
             CompositeService::new(
                 "app",
-                vec!["n".into()],
+                vec!["n".into(), "m".into()],
                 flow.build().expect("stochastic flow"),
             )
             .unwrap(),
@@ -193,16 +228,16 @@ enum Engine {
     Program,
 }
 
-/// The matrix this suite pins: both plan-compiling solver policies under
-/// each engine, set explicitly on `EvalOptions` so the test is identical
-/// under any ambient environment.
-const MATRIX: [(SolverPolicy, Engine); 6] = [
-    (SolverPolicy::Auto, Engine::Sighting),
-    (SolverPolicy::Auto, Engine::Program),
-    (SolverPolicy::Auto, Engine::Recursive),
-    (SolverPolicy::Compiled, Engine::Sighting),
-    (SolverPolicy::Compiled, Engine::Program),
-    (SolverPolicy::Compiled, Engine::Recursive),
+/// Every engine. The archive properties run them under the plan-compiling
+/// default policy, set explicitly on `EvalOptions` so the test is
+/// identical under any ambient environment.
+const ENGINES: [Engine; 3] = [Engine::Sighting, Engine::Program, Engine::Recursive];
+
+/// Every solver policy.
+const SOLVERS: [SolverPolicy; 3] = [
+    SolverPolicy::Auto,
+    SolverPolicy::Dense,
+    SolverPolicy::Sparse,
 ];
 
 fn options(solver: SolverPolicy, cycle_mode: CycleMode) -> EvalOptions {
@@ -230,17 +265,16 @@ fn evaluator_with<'a>(
     Evaluator::with_plan_cache(assembly, *opts, plan_cache(store))
 }
 
-/// Evaluates every query, in order, through `engine` over one plan cache
-/// using `store`, asserting which engine answered; returns the raw f64
-/// bits.
+/// Evaluates every query, in order, through `engine` over `plans`, on
+/// fresh evaluators (each with its own value cache), asserting which
+/// engine answered; returns the raw f64 bits.
 fn run_queries(
     assembly: &Assembly,
     opts: &EvalOptions,
-    store: Option<Arc<ArtifactStore>>,
+    plans: Arc<PlanCache>,
     engine: Engine,
     queries: &[Query],
 ) -> Vec<u64> {
-    let plans = plan_cache(store);
     let bits = |r: archrel::core::Result<archrel::model::Probability>| {
         r.expect("closed assembly evaluates").value().to_bits()
     };
@@ -293,21 +327,22 @@ fn run_queries(
 }
 
 /// The core warm-then-read differential, shared by the acyclic and
-/// cyclic properties. Queries are replayed in the same order in every
-/// pass: a cyclic plan's archived Sherman–Morrison baseline is the first
-/// evaluation it saw, so order is part of the bitwise contract.
+/// cyclic properties; `expect_archives` says whether the default solver
+/// compiles a plan for these queries, so the read pass must serve one.
 fn assert_archived_matches_fresh(
     assembly: &Assembly,
     queries: &[Query],
     cycle_mode: CycleMode,
+    expect_archives: bool,
     tag: &str,
 ) {
-    for (solver, engine) in MATRIX {
+    let solver = SolverPolicy::Auto;
+    for engine in ENGINES {
         let opts = options(solver, cycle_mode);
         let dir = scratch_dir(tag);
 
         // Store-free reference: every plan compiled fresh in-process.
-        let fresh = run_queries(assembly, &opts, None, engine, queries);
+        let fresh = run_queries(assembly, &opts, plan_cache(None), engine, queries);
 
         // Warm pass: read-through misses compile and publish.
         let warm_store =
@@ -315,7 +350,7 @@ fn assert_archived_matches_fresh(
         let warm = run_queries(
             assembly,
             &opts,
-            Some(Arc::clone(&warm_store)),
+            plan_cache(Some(Arc::clone(&warm_store))),
             engine,
             queries,
         );
@@ -327,7 +362,7 @@ fn assert_archived_matches_fresh(
         let archived = run_queries(
             assembly,
             &opts,
-            Some(Arc::clone(&read_store)),
+            plan_cache(Some(Arc::clone(&read_store))),
             engine,
             queries,
         );
@@ -339,10 +374,10 @@ fn assert_archived_matches_fresh(
         let stats = read_store.stats();
         prop_assert_eq!(stats.writes, 0, "read-only store wrote");
         prop_assert_eq!(stats.validate_rejects, 0, "archive failed validation");
-        if solver == SolverPolicy::Compiled {
+        if expect_archives {
             prop_assert!(
                 stats.hits > 0,
-                "compiled policy never touched the warm archive ({engine:?})"
+                "the read pass never touched the warm archive ({engine:?})"
             );
         }
 
@@ -371,21 +406,25 @@ fn assert_archived_matches_fresh(
     }
 }
 
+/// Queries of `app` at each `n`, with `m` = 1.
 fn queries_for(ns: &[f64]) -> Vec<Query> {
-    ns.iter()
-        .map(|&n| Query::new("app", Bindings::new().with("n", n)))
-        .collect()
+    ns.iter().map(|&n| query(n, 1.0)).collect()
+}
+
+fn query(n: f64, m: f64) -> Query {
+    Query::new("app", Bindings::new().with("n", n).with("m", m))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random acyclic flow assemblies: archived evaluation is bitwise
-    /// the store-free reference across the solver × engine matrix and
-    /// batch worker counts 1/2/4.
+    /// the store-free reference under every engine and batch worker
+    /// counts 1/2/4. A long flow evaluated at two or more points compiles
+    /// a plan, which the read pass must load from the archive.
     #[test]
     fn acyclic_archived_evaluation_is_bitwise_fresh(
-        specs in proptest::collection::vec(node_spec(), 2..8),
+        specs in flow_specs(),
         ns in proptest::collection::vec(1.0..64.0f64, 1..4),
     ) {
         let assembly = flow_assembly(&specs, false);
@@ -393,16 +432,17 @@ proptest! {
             &assembly,
             &queries_for(&ns),
             CycleMode::Error,
+            long(&specs) && ns.len() >= 2,
             "acyclic",
         );
     }
 
-    /// Random cyclic flow assemblies (back edges enabled): the archived
-    /// cyclic plan — factorization, permutation, and Sherman–Morrison
-    /// baseline — replays bitwise against fresh compilation.
+    /// Random cyclic flow assemblies (back edges enabled): no plan answers
+    /// a cyclic flow, and archiving whatever plans and bundles there are
+    /// changes no bit.
     #[test]
     fn cyclic_archived_evaluation_is_bitwise_fresh(
-        specs in proptest::collection::vec(node_spec(), 2..8),
+        specs in flow_specs(),
         ns in proptest::collection::vec(1.0..64.0f64, 1..4),
     ) {
         let assembly = flow_assembly(&specs, true);
@@ -410,18 +450,63 @@ proptest! {
             &assembly,
             &queries_for(&ns),
             CycleMode::Error,
+            false,
             "cyclic",
         );
+    }
+
+    /// History independence: each probe point evaluated cold (fresh
+    /// evaluators over a fresh plan cache) has exactly the bits of the same
+    /// point evaluated after a random warm-up history of other bindings
+    /// over one shared plan cache, under every solver policy and engine.
+    /// The probes run on fresh evaluators, each with its own value cache,
+    /// so no memoized value can hide a difference: whatever the history
+    /// left in the plan cache (compiled plans, sighting counts, cyclic
+    /// markers) must not move an answer. Each history point shares a
+    /// probe's `n` and moves `m`, so it differs from that probe in one
+    /// chain row only, the case an incremental re-solve would answer from
+    /// the history's numbers.
+    #[test]
+    fn answers_do_not_depend_on_plan_cache_history(
+        specs in flow_specs(),
+        cyclic in proptest::bool::ANY,
+        probes in proptest::collection::vec(1.0..64.0f64, 1..3),
+        history in proptest::collection::vec((0usize..4, 0.25..4.0f64), 1..5),
+    ) {
+        let assembly = flow_assembly(&specs, cyclic);
+        let history: Vec<Query> = history
+            .iter()
+            .map(|&(k, m)| query(probes[k % probes.len()], m))
+            .collect();
+        let probes = queries_for(&probes);
+        for solver in SOLVERS {
+            for engine in ENGINES {
+                let opts = options(solver, CycleMode::Error);
+                let cold = run_queries(&assembly, &opts, plan_cache(None), engine, &probes);
+                let shared = plan_cache(None);
+                run_queries(&assembly, &opts, Arc::clone(&shared), engine, &history);
+                let warm = run_queries(&assembly, &opts, shared, engine, &probes);
+                prop_assert_eq!(
+                    &warm,
+                    &cold,
+                    "the answer depends on cache history ({:?}/{:?})",
+                    solver,
+                    engine
+                );
+            }
+        }
     }
 }
 
 /// A recursive resolver (cyclic call graph, the shape `examples/
 /// recursive_service.rs` demonstrates): the fixed-point driver over an
 /// archived program-bundle warm start stays bitwise-stable under both
-/// update schemes.
+/// update schemes. A cache hit leaves through 64 call-free states, which
+/// puts the flow in the default solver's sparse regime, so its plan is
+/// compiled, pinned and archived.
 #[test]
 fn fixed_point_archived_evaluation_is_bitwise_fresh() {
-    let flow = FlowBuilder::new()
+    let mut flow = FlowBuilder::new()
         .state(FlowState::new(
             "hit",
             vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::num(1e4))],
@@ -436,11 +521,20 @@ fn fixed_point_archived_evaluation_is_bitwise_fresh() {
         ))
         .transition(StateId::Start, "hit", Expr::num(0.65))
         .transition(StateId::Start, "fetch", Expr::num(0.35))
-        .transition("hit", StateId::End, Expr::one())
+        .transition("hit", "t0", Expr::one())
         .transition("fetch", "recurse", Expr::one())
-        .transition("recurse", StateId::End, Expr::one())
-        .build()
-        .unwrap();
+        .transition("recurse", StateId::End, Expr::one());
+    for i in 0..64 {
+        let next = if i == 63 {
+            StateId::End
+        } else {
+            StateId::named(format!("t{}", i + 1))
+        };
+        flow = flow
+            .state(FlowState::new(format!("t{i}"), vec![]))
+            .transition(StateId::named(format!("t{i}")), next, Expr::one());
+    }
+    let flow = flow.build().unwrap();
     let mut builder = AssemblyBuilder::new();
     for svc in service_pool() {
         builder = builder.service(svc);
@@ -461,20 +555,26 @@ fn fixed_point_archived_evaluation_is_bitwise_fresh() {
         for engine in [Engine::Sighting, Engine::Program] {
             let opts = EvalOptions {
                 fixed_point,
-                ..options(SolverPolicy::Compiled, cycle_mode)
+                ..options(SolverPolicy::Auto, cycle_mode)
             };
             let dir = scratch_dir("fixedpoint");
 
-            let fresh = run_queries(&assembly, &opts, None, engine, &queries);
+            let fresh = run_queries(&assembly, &opts, plan_cache(None), engine, &queries);
             let warm_store = Arc::new(ArtifactStore::open(&dir, ArtifactMode::ReadWrite).unwrap());
-            let warm = run_queries(&assembly, &opts, Some(warm_store), engine, &queries);
+            let warm = run_queries(
+                &assembly,
+                &opts,
+                plan_cache(Some(warm_store)),
+                engine,
+                &queries,
+            );
             assert_eq!(warm, fresh, "warm diverged ({fixed_point:?}/{engine:?})");
 
             let read_store = Arc::new(ArtifactStore::open(&dir, ArtifactMode::Read).unwrap());
             let archived = run_queries(
                 &assembly,
                 &opts,
-                Some(Arc::clone(&read_store)),
+                plan_cache(Some(Arc::clone(&read_store))),
                 engine,
                 &queries,
             );
